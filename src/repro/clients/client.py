@@ -1,7 +1,9 @@
 """Simulated CephFS clients.
 
 Clients are closed-loop with a small pipeline of outstanding requests
-(Ceph clients issue asynchronous dirops).  Each client keeps its own
+(Ceph clients issue asynchronous dirops).  A pipeline worker is a chain
+of callbacks, not a coroutine: the reply to one op issues the next (after
+the think time, if any).  Each client keeps its own
 mapping of directories to MDS ranks, learned lazily from replies -- so
 after a migration the first requests land on the wrong rank and get
 forwarded, exactly the staleness the paper describes for client-side
@@ -25,6 +27,31 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: A workload hands each client an iterator of these.
 WorkloadOp = tuple[OpKind, str]
+
+
+class PendingOp:
+    """One in-flight op of a closed-loop worker.
+
+    The MDS holds it beside the request and replies through it: it has
+    the ``done``/``succeed`` pair of :class:`~repro.sim.engine.Completion`
+    the request path uses, and succeeding it hands the reply straight to
+    the client.
+    """
+
+    __slots__ = ("client", "path", "issued_at", "done")
+
+    def __init__(self, client: "Client", path: str,
+                 issued_at: float) -> None:
+        self.client = client
+        self.path = path
+        self.issued_at = issued_at
+        self.done = False
+
+    def succeed(self, reply: MetaReply) -> None:
+        if self.done:
+            raise RuntimeError("op already completed")
+        self.done = True
+        self.client._complete(self, reply)
 
 
 class Client:
@@ -72,35 +99,33 @@ class Client:
     def _launch(self) -> None:
         self.started_at = self.engine.now
         self._workers_left = self.pipeline
-        for worker in range(self.pipeline):
-            self.engine.process(
-                self._worker(), name=f"client{self.client_id}.w{worker}"
-            )
+        for _worker in range(self.pipeline):
+            self.engine.schedule(0.0, self._next_op)
 
-    def _worker(self):
-        while True:
-            try:
-                op = next(self.ops)
-            except StopIteration:
-                break
-            kind, path = op[0], op[1]
-            dst = op[2] if len(op) > 2 else None
-            issued_at, completion = self._issue(kind, path, dst=dst)
-            reply = yield completion
-            # Same simulated instant as the reply delivery (the worker
-            # resumes via a zero-delay event), so the measured latency is
-            # unchanged by recording it here instead of in a callback.
-            self.metrics.latencies.record(self.client_id,
-                                          self.engine.now - issued_at)
-            self.ops_completed += 1
-            if reply.error is not None:
-                self.errors += 1
-            self._learn(path, reply)
-            if self.think_time > 0:
-                yield self.think_time
-        self._workers_left -= 1
-        if self._workers_left == 0:
-            self._finish()
+    def _next_op(self) -> None:
+        """Issue a worker's next op, or retire the worker when the op
+        stream is exhausted."""
+        op = next(self.ops, None)
+        if op is None:
+            self._workers_left -= 1
+            if self._workers_left == 0:
+                self._finish()
+            return
+        self._issue(op[0], op[1], op[2] if len(op) > 2 else None)
+
+    def _complete(self, pending: PendingOp, reply: MetaReply) -> None:
+        """The reply to *pending* arrived: account it, learn from it, and
+        move its worker on to the next op."""
+        self.metrics.latencies.record(self.client_id,
+                                      self.engine.now - pending.issued_at)
+        self.ops_completed += 1
+        if reply.error is not None:
+            self.errors += 1
+        self._learn(pending.path, reply)
+        if self.think_time > 0:
+            self.engine.schedule(self.think_time, self._next_op)
+        else:
+            self._next_op()
 
     def _finish(self) -> None:
         self.finished_at = self.engine.now
@@ -110,19 +135,15 @@ class Client:
             self.done.succeed(self.client_id)
 
     # -- request issue ------------------------------------------------------
-    def _issue(self, kind: OpKind, path: str, dst: str | None = None):
-        """Send one request; returns ``(issued_at, completion)``.
-
-        The completion fires with the :class:`MetaReply`; the worker that
-        yields on it records the latency itself, so no wrapper completion
-        or callback is allocated per op.
-        """
+    def _issue(self, kind: OpKind, path: str,
+               dst: str | None = None) -> PendingOp:
+        """Send one request; the returned op receives the reply."""
         issued_at = self.engine.now
         req = MetaRequest(kind=kind, path=path, client_id=self.client_id,
                           issued_at=issued_at)
         if dst is not None:
             req.payload["dst"] = dst
-        completion = self.engine.completion()
+        pending = PendingOp(self, path, issued_at)
         rank = self._guess(path, kind)
         # _cap_switch_delay's common case (feature off / same rank) inlined;
         # the method re-does the _last_rank swap, so undo it before calling.
@@ -137,12 +158,12 @@ class Client:
         if delay > 0:
             self.engine.schedule(
                 delay, self.network.deliver,
-                self.mdss[rank].receive_request, req, completion,
+                self.mdss[rank].receive_request, req, pending,
             )
         else:
             self.network.deliver(self.mdss[rank].receive_request, req,
-                                 completion)
-        return issued_at, completion
+                                 pending)
+        return pending
 
     def _cap_switch_delay(self, path: str, kind: OpKind, rank: int) -> float:
         """Cap revalidation when consecutive requests alternate ranks.

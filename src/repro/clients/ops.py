@@ -53,11 +53,18 @@ class MetaRequest:
     kind: OpKind
     path: str
     client_id: int
-    req_id: int = field(default_factory=lambda: next(_REQ_IDS))
+    req_id: int = field(default_factory=_REQ_IDS.__next__)
     #: Ranks that already handled (and forwarded) this request.
     hops: list[int] = field(default_factory=list)
     issued_at: float = 0.0
     payload: dict[str, Any] = field(default_factory=dict)
+    #: ``(parent directory, leaf name, dirfrag)`` the MDS resolved for
+    #: this request (None: the path does not resolve), valid while the
+    #: namespace tree epoch and the global authority epoch still equal
+    #: the two recorded beside it.  See ``MdsServer._route``.
+    route: Optional[tuple] = None
+    tree_epoch: int = -1
+    auth_epoch: int = -1
 
     @property
     def forwards(self) -> int:

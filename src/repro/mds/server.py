@@ -17,6 +17,7 @@ from ..config import ClusterConfig
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
 from ..namespace.counters import LoadCounters
 from ..namespace.directory import Directory
+from ..namespace.dirfrag import _AUTH_EPOCH, DirFrag
 from ..namespace.tree import Namespace, parent_and_leaf
 from ..rados.cluster import RadosCluster
 from ..rados.journal import MdsJournal
@@ -97,7 +98,11 @@ class MdsServer:
     # ------------------------------------------------------------------
     def receive_request(self, req: MetaRequest, done: Completion,
                         count_hop: bool = True) -> None:
-        """Entry point for a request arriving over the network."""
+        """Entry point for a request arriving over the network.
+
+        *done* receives the reply: a :class:`Completion`, or anything with
+        its ``done``/``succeed`` pair, such as a client's ``PendingOp``.
+        """
         if not self.alive:
             # The client (or a forwarding peer) sent to a dead rank: bounce
             # and retry once authority has been re-resolved.
@@ -144,11 +149,11 @@ class MdsServer:
         requests cost the op's service time, inflated by the coherency
         surcharge when the target directory is spread over several ranks.
         """
-        resolved = self._resolve(req)
-        if resolved is None:
+        route = self._route(req)
+        if route is None:
             return self._forward_service.sample(self.rng)
-        parent, _leaf, frag = resolved
-        if frag is not None and frag.authority() != self.rank:
+        parent, _leaf, frag = route
+        if frag.authority() != self.rank:
             return self._forward_service.sample(self.rng)
         base = self._service[req.kind].sample(self.rng)
         if req.kind is OpKind.READDIR:
@@ -160,26 +165,39 @@ class MdsServer:
             base *= 1.0 + self.config.sync_penalty * (spread - 1.0) ** 0.5
         return base
 
-    @staticmethod
-    def _effective_spread(directory: Directory) -> float:
-        """Effective number of ranks sharing this directory's dirfrags
-        (inverse participation ratio; cached per authority epoch)."""
-        return directory.effective_spread()
+    def _route(self, req: MetaRequest):
+        """(parent directory, leaf name, dirfrag) for the request, or None.
 
-    def _resolve(self, req: MetaRequest):
-        """(parent directory, leaf name, dirfrag) for the request, or None."""
+        Resolved once and memoized on the request for as long as the
+        namespace tree epoch and the global authority epoch (which also
+        moves on every dirfrag split) both hold, so service sampling, the
+        executor, forwards and retries all share one resolution.
+        """
+        tree_epoch = self.namespace.tree_epoch
+        auth_epoch = _AUTH_EPOCH[0]
+        if req.tree_epoch == tree_epoch and req.auth_epoch == auth_epoch:
+            return req.route
+        leaf = None
         try:
             if req.kind is OpKind.READDIR:
-                directory = self.namespace.resolve_dir(req.path)
-                return directory, None, next(iter(directory.frags.values()))
-            split = parent_and_leaf(req.path)
-            if split is None:
-                directory = self.namespace.root
-                return directory, None, next(iter(directory.frags.values()))
-            parent = self.namespace.resolve_dir(split[0])
-            return parent, split[1], parent.frag_for_name(split[1])
+                parent = self.namespace.resolve_dir(req.path)
+            else:
+                split = parent_and_leaf(req.path)
+                if split is None:
+                    parent = self.namespace.root
+                else:
+                    parent = self.namespace.resolve_dir(split[0])
+                    leaf = split[1]
         except (FileNotFoundError, NotADirectoryError):
-            return None
+            route = None
+        else:
+            route = (parent, leaf,
+                     parent.frag_for_name(leaf) if leaf is not None
+                     else next(iter(parent.frags.values())))
+        req.route = route
+        req.tree_epoch = tree_epoch
+        req.auth_epoch = auth_epoch
+        return route
 
     def _execute(self, task) -> None:
         req, done = task
@@ -187,40 +205,34 @@ class MdsServer:
             # Internal work (fragmentation, session flushes): the CPU time
             # was the point; there is nothing to apply.
             return
-        resolved = self._resolve(req)
-        if resolved is None:
+        route = self._route(req)
+        if route is None:
             self._reply(req, done, error="ENOENT")
             return
-        parent, leaf, frag = resolved
-        if frag is not None and frag.frozen:
+        parent, leaf, frag = route
+        if frag.frozen:
             # Unit mid-migration: stall and retry (requests queue behind the
             # two-phase commit, which is the freeze cost clients observe).
             self.engine.schedule(
                 FREEZE_RETRY_DELAY, self.receive_request, req, done, False
             )
             return
-        auth = frag.authority() if frag is not None else self.rank
+        auth = frag.authority()
         self.all_load.hit(COUNTER_KIND[req.kind], self.engine.now)
         if auth != self.rank and len(req.hops) < MAX_HOPS:
             self.metrics.forwards += 1
             self.network.deliver(self.peers[auth].receive_request, req, done)
             return
         self.metrics.traversal_hits += 1
-        self._serve(req, done, parent, leaf)
+        self._serve(req, done, parent, leaf, frag)
 
     # -- local service ---------------------------------------------------
     def _serve(self, req: MetaRequest, done: Completion,
-               parent: Directory, leaf: Optional[str]) -> None:
+               parent: Directory, leaf: Optional[str],
+               frag: DirFrag) -> None:
         now = self.engine.now
-        rank = self.rank
         self.sessions.record_request(req.client_id, parent.path(), now)
-        # Mark this rank active along the path: active ranks take part in
-        # each ancestor's coherency and keep their replicas fresh.
-        node = parent
-        while node is not None:
-            node.server_activity[rank] = now
-            node = node.parent
-        needs_fetch, remote_prefixes = self._touch_cache(parent)
+        needs_fetch, remote_prefixes = self._touch_path(parent, now)
         delay = 0.0
         if needs_fetch and parent.authority() != self.rank:
             # The directory inode's authority is elsewhere: refresh the
@@ -237,29 +249,35 @@ class MdsServer:
             # Authoritative directory object not in memory: fetch it from
             # RADOS, then apply.
             self.metrics.fetches += 1
-            self.namespace.record_hit(parent, leaf, "FETCH", now)
+            self.namespace.record_frag_hit(frag, "FETCH", now)
             obj = f"dir.{parent.inode.ino}"
             fetched = self.rados.read(obj, self.config.dir_object_bytes)
             fetched.add_callback(
-                lambda _c: self._apply(req, done, parent, leaf)
+                lambda _c: self._apply(req, done, parent, leaf, frag)
             )
             return
         if delay > 0:
-            self.engine.schedule(delay, self._apply, req, done, parent, leaf)
+            self.engine.schedule(delay, self._apply, req, done, parent, leaf,
+                                 frag)
             return
-        self._apply(req, done, parent, leaf)
+        self._apply(req, done, parent, leaf, frag)
 
-    def _touch_cache(self, directory: Directory) -> tuple[bool, int]:
-        """Touch the path prefix in the cache.
+    def _touch_path(self, directory: Directory,
+                    now: float) -> tuple[bool, int]:
+        """Mark this rank active along the path and touch the path prefix
+        in the cache, in one walk up the ancestors.
 
-        Returns (parent missed -> RADOS fetch needed, number of *remote*
-        ancestor inodes that missed -> cross-rank prefix traversals).
+        Active ranks take part in each ancestor's coherency and keep their
+        replicas fresh.  Returns (parent missed -> RADOS fetch needed,
+        number of *remote* ancestor inodes that missed -> cross-rank
+        prefix traversals).
         """
         # InodeCache.touch inlined over the ancestor chain: three-plus
         # touches per op.  The hit path only reorders the LRU.
         cache = self.cache
         entries = cache._entries
         rank = self.rank
+        directory.server_activity[rank] = now
         ino = directory.inode.ino
         if ino in entries:
             entries.move_to_end(ino)
@@ -272,6 +290,7 @@ class MdsServer:
         remote_misses = 0
         node = directory.parent
         while node is not None:
+            node.server_activity[rank] = now
             ino = node.inode.ino
             if ino in entries:
                 entries.move_to_end(ino)
@@ -312,13 +331,21 @@ class MdsServer:
             node = node.parent
 
     def _apply(self, req: MetaRequest, done: Completion,
-               parent: Directory, leaf: Optional[str]) -> None:
+               parent: Directory, leaf: Optional[str],
+               frag: DirFrag) -> None:
         now = self.engine.now
         kind = req.kind
+        if req.auth_epoch != _AUTH_EPOCH[0]:
+            # A split or migration during the RADOS fetch or prefix
+            # traversal may have retired the carried dirfrag.
+            frag = (parent.frag_for_name(leaf) if leaf is not None
+                    else next(iter(parent.frags.values())))
         result = None
         try:
             if kind is OpKind.CREATE:
-                existing = parent.lookup(leaf) if leaf is not None else None
+                if leaf is None:
+                    raise ValueError("cannot create the root")
+                existing = frag.entries.get(leaf)
                 if existing is not None and not existing.is_dir:
                     # O_CREAT on an existing file: truncate/update in place
                     # (compiles recreate .o files all the time).
@@ -326,10 +353,10 @@ class MdsServer:
                     existing.size = 0
                     self.cache.touch(existing.ino)
                 else:
-                    inode = self.namespace.create(req.path, now=now)
+                    inode = self.namespace.create_in(frag, leaf, now=now)
                     self.cache.insert(inode.ino)
                 self.journal.log("create")
-                self._maybe_store(parent, leaf, now)
+                self._maybe_store(parent, frag, now)
             elif kind is OpKind.MKDIR:
                 directory = self.namespace.mkdir(req.path, now=now)
                 self.cache.insert(directory.inode.ino)
@@ -362,7 +389,7 @@ class MdsServer:
                 entries = parent.readdir()
                 result = len(entries)
             else:  # STAT / LOOKUP / OPEN
-                inode = (parent.lookup(leaf) if leaf is not None
+                inode = (frag.entries.get(leaf) if leaf is not None
                          else parent.inode)
                 if inode is None:
                     raise FileNotFoundError(req.path)
@@ -379,7 +406,7 @@ class MdsServer:
             self._reply(req, done, error="EINVAL")
             return
         counter_kind = COUNTER_KIND[kind]
-        self.namespace.record_hit(parent, leaf, counter_kind, now)
+        self.namespace.record_frag_hit(frag, counter_kind, now)
         self.auth_load.hit(counter_kind, now)
         self.metrics.ops_served += 1
         self.cluster_metrics.timeline.record(self.rank, now)
@@ -416,7 +443,7 @@ class MdsServer:
 
         self.engine.schedule(halt, unfreeze)
 
-    def _maybe_store(self, parent: Directory, leaf: Optional[str],
+    def _maybe_store(self, parent: Directory, frag: DirFrag,
                      now: float) -> None:
         """Every Nth write to a directory commits it back to RADOS."""
         key = parent.inode.ino
@@ -424,7 +451,7 @@ class MdsServer:
         if count >= self.config.store_every:
             self._stores_pending[key] = 0
             self.metrics.stores += 1
-            self.namespace.record_hit(parent, leaf, "STORE", now)
+            self.namespace.record_frag_hit(frag, "STORE", now)
             obj = f"dir.{parent.inode.ino}"
             self.rados.write(obj, self.config.dir_object_bytes)
         else:
@@ -437,9 +464,6 @@ class MdsServer:
             # Fragmentation is real work on this CPU.
             self.station.submit(("fragment", directory.path()), 0.001,
                                 want_completion=False)
-
-    def _record_all_load(self, req: MetaRequest) -> None:
-        self.all_load.hit(COUNTER_KIND[req.kind], self.engine.now)
 
     def _reply(self, req: MetaRequest, done: Completion,
                result=None, error: Optional[str] = None,

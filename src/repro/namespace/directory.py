@@ -261,9 +261,11 @@ class Directory:
     def lookup(self, name: str) -> Optional[Inode]:
         return self.frag_for_name(name).get(name)
 
-    def link(self, inode: Inode) -> None:
-        """Add *inode* as an entry of this directory."""
-        frag = self.frag_for_name(inode.name)
+    def link(self, inode: Inode, frag: DirFrag | None = None) -> None:
+        """Add *inode* as an entry of this directory, in *frag* when the
+        caller already resolved the dirfrag its name hashes to."""
+        if frag is None:
+            frag = self.frag_for_name(inode.name)
         if inode.name in frag.entries:
             raise FileExistsError(f"{self.path()}/{inode.name} exists")
         inode.parent = self

@@ -28,7 +28,7 @@ def split_path(path: str) -> tuple[str, ...]:
     times on their way through a client and an MDS, so memoizing the split
     is one of the hottest wins in the whole simulator.
     """
-    return tuple(part for part in path.split("/") if part)
+    return tuple(filter(None, path.split("/")))
 
 
 @lru_cache(maxsize=262144)
@@ -72,19 +72,21 @@ class Namespace:
         # shape changes (mkdir / dir unlink / rename).
         self._dir_cache: dict[str, Directory] = {}
         self._dir_cache_epoch = 0
-        self._tree_epoch = 0
+        #: Bumped whenever the directory tree's shape changes; anything
+        #: memoizing a path resolution keys it on this epoch.
+        self.tree_epoch = 0
 
     def _bump_tree_epoch(self) -> None:
-        self._tree_epoch += 1
+        self.tree_epoch += 1
 
     # -- resolution ------------------------------------------------------
     def resolve_dir(self, path: str) -> Directory:
         """Resolve *path* to a Directory; raises FileNotFoundError/NotADirectoryError."""
         if fastpath.ENABLED:
             cache = self._dir_cache
-            if self._dir_cache_epoch != self._tree_epoch:
+            if self._dir_cache_epoch != self.tree_epoch:
                 cache.clear()
-                self._dir_cache_epoch = self._tree_epoch
+                self._dir_cache_epoch = self.tree_epoch
             node = cache.get(path)
             if node is not None:
                 return node
@@ -156,10 +158,17 @@ class Namespace:
     def create(self, path: str, now: float = 0.0, mode: int = 0o644,
                size: int = 0) -> Inode:
         parent, name = self.parent_of(path)
+        return self.create_in(parent.frag_for_name(name), name, now=now,
+                              mode=mode, size=size)
+
+    def create_in(self, frag: DirFrag, name: str, now: float = 0.0,
+                  mode: int = 0o644, size: int = 0) -> Inode:
+        """Create file *name* in *frag*, the dirfrag its name hashes to
+        (the MDS request path already resolved it)."""
         inode = Inode(name=name, is_dir=False, mode=mode, size=size,
                       ctime=now, mtime=now, atime=now,
                       ino=next(self._ino_counter))
-        parent.link(inode)
+        frag.directory.link(inode, frag)
         self.inode_count += 1
         return inode
 
@@ -212,11 +221,18 @@ class Namespace:
         """
         frag = (directory.frag_for_name(name) if name is not None
                 else next(iter(directory.frags.values())))
+        self.record_frag_hit(frag, kind, now, amount)
+        return frag
+
+    @staticmethod
+    def record_frag_hit(frag: DirFrag, kind: str, now: float,
+                        amount: float = 1.0) -> None:
+        """:meth:`record_hit` on an already resolved dirfrag."""
         # LoadCounters.hit inlined over frag + the whole ancestor chain:
         # this is the single hottest accounting loop in the simulator
         # (3+ hits per op).  The arithmetic matches DecayCounter exactly.
         target = frag
-        node = directory
+        node = frag.directory
         while target is not None:
             counter = target.counters.counters.get(kind)
             if counter is None:
@@ -234,7 +250,6 @@ class Namespace:
                 counter._last = now
             counter._value += amount
             target, node = node, (node.parent if node is not None else None)
-        return frag
 
     # -- authority queries ---------------------------------------------------
     def subtree_roots(self, mds: int | None = None) -> list[Directory]:

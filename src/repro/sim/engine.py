@@ -7,7 +7,8 @@ Components interact through three primitives:
 * :class:`Completion` -- a one-shot future used for request/response flows,
 * :meth:`SimEngine.process` -- drive a generator that ``yield``s delays or
   :class:`Completion` objects (a lightweight simpy-style coroutine), which is
-  how closed-loop clients and multi-step migrations are written.
+  how multi-step operations such as migrations and rank restarts are
+  written.  Closed-loop clients are plain reply callbacks instead.
 
 The engine is deterministic: ties in time are broken by insertion order.
 """

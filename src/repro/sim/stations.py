@@ -145,8 +145,12 @@ class FifoStation:
             service_time = float(service)
         completion = self.engine.completion() if want_completion else None
         job = Job(payload, service_time, completion, self.engine.now)
-        self._queue.append(job)
-        self._dispatch()
+        if self._queue or self._paused or self._busy_servers >= self.servers:
+            # Queued jobs start from _finish or resume(); an idle, running
+            # station never holds a queue, so FIFO order is kept.
+            self._queue.append(job)
+        else:
+            self._start(job)
         return completion
 
     # -- internals ---------------------------------------------------------

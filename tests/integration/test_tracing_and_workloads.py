@@ -59,6 +59,28 @@ class TestTraceRecording:
         self.run_recorded(files=20)
         assert Client._learn is before
 
+    @pytest.mark.parametrize("think_time", [0.0, 0.001])
+    def test_one_reply_recorded_per_completed_op(self, think_time):
+        """The tap sees every reply exactly once, whether the next op is
+        issued from the reply itself or after a think-time event."""
+        cluster = SimulatedCluster(make_config(
+            num_mds=2, client_pipeline=2, client_think_time=think_time))
+        workload = CreateWorkload(num_clients=3, files_per_client=150)
+        recorder, report = record_run(cluster, workload)
+        assert sum(client.ops_completed
+                   for client in cluster.clients) == workload.total_ops()
+        per_client = recorder.per_client()
+        for client in cluster.clients:
+            events = per_client[client.client_id]
+            assert len(events) == client.ops_completed
+            assert sorted(event.path for event in events) == sorted(
+                path for _kind, path in workload.client_ops(client.client_id))
+        if think_time > 0:
+            # A worker retires only after its last op's think time (trace
+            # times are rounded to the microsecond).
+            last = max(event.time for event in recorder.events)
+            assert report.makespan >= last + think_time - 1e-6
+
 
 class TestCheckpointWorkload:
     def test_op_structure(self):

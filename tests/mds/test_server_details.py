@@ -37,6 +37,36 @@ class TestStoreCommits:
         assert cluster.rados.total_writes() > before
 
 
+class TestCarriedDirfrag:
+    def test_split_during_fetch_lands_create_in_live_frag(self):
+        """The request carries the dirfrag it resolved at service time; a
+        split while the RADOS fetch is in flight retires that frag, so the
+        create must look it up again rather than link into a dead frag."""
+        cluster = SimulatedCluster(make_config(num_mds=1))
+        cluster.namespace.mkdirs("/d")
+        for i in range(20):
+            cluster.namespace.create(f"/d/f{i}")
+        d = cluster.namespace.resolve_dir("/d")
+        mds = cluster.mdss[0]
+        mds.cache.clear()  # the directory object must come from RADOS
+        req = MetaRequest(kind=OpKind.CREATE, path="/d/new", client_id=0,
+                          issued_at=cluster.engine.now)
+        done = cluster.engine.completion()
+        cluster.network.deliver(mds.receive_request, req, done)
+        while mds.metrics.fetches == 0:
+            assert cluster.engine.step()
+        carried = req.route[2]
+        d.fragment(extra_bits=2, now=cluster.engine.now)
+        assert carried not in d.frags.values()
+        reply = cluster.engine.run_until_complete(done)
+        assert reply.ok
+        live = d.frag_for_name("new")
+        assert live.get("new") is not None
+        assert cluster.namespace.resolve_entry("/d/new").parent is d
+        assert live.counters.get("IWR", cluster.engine.now) > 0
+        assert carried.get("new") is None
+
+
 class TestHopCap:
     def test_forwarding_is_bounded(self):
         """Even with a pathological hop history, a request is eventually
