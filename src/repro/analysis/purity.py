@@ -11,8 +11,8 @@ the static view in lock-step with both:
   :data:`SANDBOX_TABLE_MEMBERS` are built from ``_stdlib_vars()``), so
   the static rule cannot drift from the runtime behaviour.
 * M402 impure-load-hook -- ``metaload``/``mdsload`` touching the
-  persistent ``WRstate``/``RDstate`` store.  Load hooks are memoized by
-  the fast path and replayed by the validator; both assume purity.
+  persistent ``WRstate``/``RDstate`` store.  Load hooks are memoized per
+  tick by the balancer and replayed by the validator; both assume purity.
 """
 
 from __future__ import annotations

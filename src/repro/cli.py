@@ -363,34 +363,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown cache action {args.action!r}")
 
 
-#: The tracked microbenchmark baseline, relative to the repo root.
-TRACKED_BASELINE = Path("benchmarks/perf/BENCH_sim.json")
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.microbench import (collect_benchmarks, compare_benchmarks,
-                                  load_benchmarks, write_benchmarks)
-    if args.update and not TRACKED_BASELINE.parent.is_dir():
-        raise SystemExit(
-            f"--update rewrites {TRACKED_BASELINE} in place; run from the "
-            "repository root (benchmarks/perf/ not found here)")
-    results = collect_benchmarks(scale=args.scale)
-    for key in sorted(results):
-        if key != "meta":
-            print(f"{key:<26} {results[key]:.1f}")
-    if args.json:
-        write_benchmarks(args.json, results)
-    if args.update:
-        write_benchmarks(TRACKED_BASELINE, results)
-        print(f"baseline updated: {TRACKED_BASELINE}", file=sys.stderr)
-    if args.baseline:
-        problems = compare_benchmarks(results, load_benchmarks(args.baseline))
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        return 1 if problems else 0
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mantle-sim",
@@ -547,21 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the static-analysis injection gate "
                             "in every cell")
     sweep.set_defaults(func=cmd_sweep)
-
-    bench = sub.add_parser(
-        "bench", help="run the perf microbenchmarks (BENCH_sim.json)")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="shrink/grow the benchmark sizes")
-    bench.add_argument("--json", default=None, metavar="FILE",
-                       help="write results JSON here")
-    bench.add_argument("--baseline", default=None, metavar="FILE",
-                       help="compare against a baseline BENCH_sim.json; "
-                            "exit 1 on >30%% throughput regression")
-    bench.add_argument("--update", action="store_true",
-                       help="rewrite the tracked baseline "
-                            "(benchmarks/perf/BENCH_sim.json) in place; "
-                            "run from the repository root")
-    bench.set_defaults(func=cmd_bench)
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the result cache")

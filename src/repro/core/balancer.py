@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .. import fastpath
 from ..luapolicy.errors import LuaError
 from ..mds.migration import ExportUnit
 from ..namespace.directory import Directory
@@ -374,8 +373,6 @@ class MantleBalancer:
         return exports
 
     def _dir_metaload(self, directory: Directory, now: float) -> float:
-        if not fastpath.ENABLED:
-            return self.metaload_fn(directory.counters.snapshot(now))
         memo = self._dir_load_memo
         key = id(directory)
         value = memo.get(key)
@@ -432,8 +429,6 @@ class MantleBalancer:
         return units
 
     def _unit_load(self, unit: ExportUnit, now: float) -> float:
-        if not fastpath.ENABLED:
-            return unit.load(self.metaload_fn, now)
         memo = self._unit_load_memo
         key = id(unit.target)
         value = memo.get(key)
@@ -443,8 +438,6 @@ class MantleBalancer:
         return value
 
     def _frag_metaload(self, frag, now: float) -> float:
-        if not fastpath.ENABLED:
-            return self.metaload_fn(frag.load_snapshot(now))
         memo = self._unit_load_memo
         key = id(frag)
         value = memo.get(key)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Mapping
 
-from .. import fastpath
 from ..luapolicy import lua_ast as ast
 from ..luapolicy.errors import LuaRuntimeError, LuaSyntaxError
 from ..luapolicy.parser import parse_expression
@@ -260,7 +259,7 @@ def compile_mdsload(source: str) -> Callable[[list[dict], int], float]:
     compiled = compile_load_expression(text)
 
     def score(mds_metrics: list[dict], i: int) -> float:
-        if fast is not None and fastpath.ENABLED:
+        if fast is not None:
             try:
                 return fast(mds_metrics, i)
             except _FastPathMiss:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .. import fastpath
 from . import lua_ast as ast
 from .errors import LuaError, LuaSyntaxError
 from .interpreter import DEFAULT_BUDGET, Environment, Interpreter
@@ -78,8 +77,6 @@ _PARSE_CACHE_MAX = 512
 
 
 def _cached_parse(kind: str, source: str, parse) -> ast.Block:
-    if not fastpath.ENABLED:
-        return parse(source)
     key = (kind, source)
     chunk = _PARSE_CACHE.get(key)
     if chunk is None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .. import fastpath
 from .errors import LuaRuntimeError
 from .interpreter import Environment
 from .values import (
@@ -407,8 +406,6 @@ def install_stdlib(env: Environment) -> Environment:
 
 def new_environment() -> Environment:
     """Fresh root environment with the stdlib installed."""
-    if not fastpath.ENABLED:
-        return install_stdlib(Environment())
     global _STDLIB_PROTO
     if _STDLIB_PROTO is None:
         _STDLIB_PROTO = _stdlib_vars()

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .. import fastpath
-
 #: Op kinds tracked per dirfrag/directory -- exactly the metrics the Mantle
 #: environment exposes to load formulas (paper Table 2).
 OP_KINDS = ("IRD", "IWR", "READDIR", "FETCH", "STORE")
@@ -109,9 +107,6 @@ class LoadCounters:
         The pow arguments are exactly those the per-counter path would use,
         so the values are bit-identical.
         """
-        if not fastpath.ENABLED:
-            return {kind: counter.get(now)
-                    for kind, counter in self.counters.items()}
         out: dict[str, float] = {}
         factors: dict[float, float] = {}
         for kind, counter in self.counters.items():

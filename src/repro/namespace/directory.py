@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .. import fastpath
 from .counters import LoadCounters
 from .dirfrag import _AUTH_EPOCH, DirFrag, FragId, bump_auth_epoch, name_hash
 from .inode import Inode
@@ -62,7 +61,7 @@ class Directory:
         if self.parent is None:
             return "/"
         cached = self._path_cache
-        if cached is not None and fastpath.ENABLED:
+        if cached is not None:
             return cached
         parent_path = self.parent.path()
         path = parent_path + self.name if parent_path == "/" \
@@ -98,10 +97,9 @@ class Directory:
         bump_auth_epoch()
 
     def authority(self) -> int:
-        if fastpath.ENABLED:
-            cached = self._auth_cache
-            if cached is not None and cached[0] == _AUTH_EPOCH[0]:
-                return cached[1]
+        cached = self._auth_cache
+        if cached is not None and cached[0] == _AUTH_EPOCH[0]:
+            return cached[1]
         node: Optional[Directory] = self
         while node is not None:
             auth = node._auth
@@ -130,10 +128,9 @@ class Directory:
         """``((bits, value, authority), ...)`` over this directory's frags
         in insertion order -- what replies carry back to clients."""
         epoch = _AUTH_EPOCH[0]
-        if fastpath.ENABLED:
-            cached = self._frag_map_cache
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
+        cached = self._frag_map_cache
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
         frag_map = tuple(
             (frag.frag_id.bits, frag.frag_id.value, frag.authority())
             for frag in self.frags.values()
@@ -149,10 +146,9 @@ class Directory:
         between for skewed spreads (4/2/1/1 -> ~2.9).
         """
         epoch = _AUTH_EPOCH[0]
-        if fastpath.ENABLED:
-            cached = self._spread_cache
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
+        cached = self._spread_cache
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
         counts: dict[int, int] = {}
         total = 0
         for frag in self.frags.values():
@@ -168,24 +164,23 @@ class Directory:
         return spread
 
     def frag_for_name(self, name: str) -> DirFrag:
-        frags = self.frags
-        if fastpath.ENABLED:
-            # The single-frag case (no fragmentation yet) needs no hash at
-            # all; uniformly-split directories resolve with one masked
-            # dict lookup instead of a linear scan.
-            epoch = _AUTH_EPOCH[0]
-            cached = self._frag_lookup_cache
-            if cached is None or cached[0] != epoch:
-                cached = self._build_frag_lookup(epoch)
-            kind = cached[1]
-            if kind == 1:
-                return cached[2]
-            if kind == 2:
-                frag = cached[2].get(name_hash(name) & cached[3])
-                if frag is not None:
-                    return frag
+        # The single-frag case (no fragmentation yet) needs no hash at
+        # all; uniformly-split directories resolve with one masked dict
+        # lookup instead of a linear scan.  fragment() needs no explicit
+        # invalidation: each new child frag's set_auth bumps the epoch.
+        epoch = _AUTH_EPOCH[0]
+        cached = self._frag_lookup_cache
+        if cached is None or cached[0] != epoch:
+            cached = self._build_frag_lookup(epoch)
+        kind = cached[1]
+        if kind == 1:
+            return cached[2]
+        if kind == 2:
+            frag = cached[2].get(name_hash(name) & cached[3])
+            if frag is not None:
+                return frag
         hashed = name_hash(name)
-        for frag in frags.values():
+        for frag in self.frags.values():
             if frag.frag_id.contains(hashed):
                 return frag
         raise RuntimeError(  # pragma: no cover - frags always cover the space

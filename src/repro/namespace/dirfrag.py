@@ -19,11 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .directory import Directory
 
 #: Global authority epoch: bumped on every explicit-auth change (subtree
-#: pins, migrations, fragmentation).  Derived authority views -- resolved
-#: authority, frag maps, effective spread -- are cached per directory and
-#: keyed on this epoch, so any auth change anywhere invalidates them all
-#: at once.  Changes are rare (migration events) while reads run on every
-#: request, which is exactly the trade a global epoch wants.
+#: pins, migrations, fragmentation) and on directory renames.  Derived
+#: authority views -- resolved authority, frag maps, effective spread --
+#: are cached per directory and keyed on this epoch, so any auth change
+#: anywhere invalidates them all at once.  Changes are rare (migration
+#: events) while reads run on every request, which is exactly the trade a
+#: global epoch wants.
 _AUTH_EPOCH = [0]
 
 

@@ -13,10 +13,9 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
-from .. import fastpath
 from .counters import DEFAULT_HALF_LIFE, _MIN_DECAY_RATIO
 from .directory import DEFAULT_SPLIT_BITS, DEFAULT_SPLIT_SIZE, Directory
-from .dirfrag import DirFrag
+from .dirfrag import DirFrag, bump_auth_epoch
 from .inode import Inode
 
 
@@ -82,14 +81,13 @@ class Namespace:
     # -- resolution ------------------------------------------------------
     def resolve_dir(self, path: str) -> Directory:
         """Resolve *path* to a Directory; raises FileNotFoundError/NotADirectoryError."""
-        if fastpath.ENABLED:
-            cache = self._dir_cache
-            if self._dir_cache_epoch != self.tree_epoch:
-                cache.clear()
-                self._dir_cache_epoch = self.tree_epoch
-            node = cache.get(path)
-            if node is not None:
-                return node
+        cache = self._dir_cache
+        if self._dir_cache_epoch != self.tree_epoch:
+            cache.clear()
+            self._dir_cache_epoch = self.tree_epoch
+        node = cache.get(path)
+        if node is not None:
+            return node
         node = self.root
         for part in split_path(path):
             child = node.subdirs.get(part)
@@ -99,8 +97,7 @@ class Namespace:
                     raise FileNotFoundError(f"{path!r} (missing {part!r})")
                 raise NotADirectoryError(f"{path!r} ({part!r} is a file)")
             node = child
-        if fastpath.ENABLED:
-            self._dir_cache[path] = node
+        cache[path] = node
         return node
 
     def resolve_entry(self, path: str) -> Inode:
@@ -208,6 +205,8 @@ class Namespace:
             dst_parent.subdirs[dst_name] = directory
             directory.invalidate_path_cache()
             self._bump_tree_epoch()
+            # Inherited authority follows the new parent chain.
+            bump_auth_epoch()
         return inode
 
     # -- accounting ------------------------------------------------------

@@ -1,20 +1,17 @@
-"""Performance harness: parallel sweeps, microbenchmarks, profiling.
+"""Performance harness: parallel sweeps, warm starts, result cache, profiling.
 
 The sweep runner fans (seed x policy) experiments over worker processes
-while keeping per-run output byte-identical to a serial run; the
-microbenchmarks track the simulator's hot-path throughput in
-``BENCH_sim.json`` so regressions show up in CI.
+while keeping per-run output byte-identical to a serial run.  Simulator
+throughput is measured end to end by the scenario benchmark in
+``perfbench/``.
 """
 
-from .microbench import collect_benchmarks, compare_benchmarks
 from .profiling import profiled
 from .sweep import RunSpec, build_specs, format_report, run_sweep
 
 __all__ = [
     "RunSpec",
     "build_specs",
-    "collect_benchmarks",
-    "compare_benchmarks",
     "format_report",
     "profiled",
     "run_sweep",

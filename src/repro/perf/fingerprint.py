@@ -8,8 +8,6 @@ simulation's output* is unchanged.  That closure is:
   exactly right for a bit-identical simulator);
 * the interpreter and numpy versions (RNG bit streams are version
   contracts, not guarantees across majors);
-* the fast-path toggle (``repro.fastpath.ENABLED``) -- equivalence tests
-  assert both paths agree, but the cache must not *assume* it;
 * the resolved experiment: config fields, workload shape, seed, and the
   **policy text** (via :func:`repro.core.policyfile.dump_policy`), so
   editing a balancer policy -- even its Lua body -- is a cache miss.
@@ -26,7 +24,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .. import fastpath
 from ..core.policies import STOCK_POLICIES
 from ..core.policyfile import dump_policy
 
@@ -92,7 +89,6 @@ def experiment_fingerprint(kind: str, payload: dict[str, Any]) -> str:
     hasher.update(kind.encode())
     hasher.update(b"\0")
     hasher.update(_canonical(payload))
-    hasher.update(f"fastpath={fastpath.ENABLED}".encode())
     return hasher.hexdigest()
 
 

@@ -19,8 +19,6 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
-from .. import fastpath
-
 
 class CancelledError(Exception):
     """Raised inside a process whose awaited completion was cancelled."""
@@ -185,23 +183,15 @@ class Process:
         self._wait_token += 1
         token = self._wait_token
         if isinstance(yielded, Completion):
-            if fastpath.ENABLED:
-                # Resume synchronously when the completion fires instead of
-                # bouncing through a zero-delay event.  Sim time is the same
-                # either way; only exact-timestamp ties could order
-                # differently, so this rides the fastpath toggle.
-                def on_done(completion: Completion) -> None:
-                    if token != self._wait_token or self.completion._done:
-                        return  # superseded by an interrupt
-                    error = completion._error
-                    self._resume(None if error is not None
-                                 else completion._value, error)
-            else:
-                def on_done(completion: Completion) -> None:
-                    error = completion._error
-                    self.engine.schedule(0.0, self._resume_guard, token,
-                                         None if error is not None
-                                         else completion._value, error)
+            # Resume synchronously when the completion fires instead of
+            # bouncing through a zero-delay event.  Sim time is the same
+            # either way; only exact-timestamp ties could order differently.
+            def on_done(completion: Completion) -> None:
+                if token != self._wait_token or self.completion._done:
+                    return  # superseded by an interrupt
+                error = completion._error
+                self._resume(None if error is not None
+                             else completion._value, error)
 
             yielded.add_callback(on_done)
         elif isinstance(yielded, (int, float)):

@@ -13,7 +13,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .. import fastpath
 from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, Completion,
                      EventHandle, SimEngine)
 
@@ -59,14 +58,12 @@ class Network:
         self.messages_sent += 1
         if self.jitter_cv <= 0:
             return self.base_latency
-        if fastpath.ENABLED:
-            idx = self._jitter_idx
-            buf = self._jitter_buf
-            if idx < len(buf):
-                self._jitter_idx = idx + 1
-                return buf[idx]
-            return self._refill_jitter()
-        return float(self.rng.lognormal(self._mu, self._sigma))
+        idx = self._jitter_idx
+        buf = self._jitter_buf
+        if idx < len(buf):
+            self._jitter_idx = idx + 1
+            return buf[idx]
+        return self._refill_jitter()
 
     def deliver(self, handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one network hop."""
@@ -76,7 +73,7 @@ class Network:
         self.messages_sent += 1
         if self.jitter_cv <= 0:
             delay = self.base_latency
-        elif fastpath.ENABLED:
+        else:
             idx = self._jitter_idx
             buf = self._jitter_buf
             if idx < len(buf):
@@ -84,8 +81,6 @@ class Network:
                 delay = buf[idx]
             else:
                 delay = self._refill_jitter()
-        else:
-            delay = float(self.rng.lognormal(self._mu, self._sigma))
         engine = self.engine
         time = engine.now + delay
         seq = next(engine._seq)
@@ -104,20 +99,7 @@ class Network:
     def deliver_after(self, extra_delay: float,
                       handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one hop plus *extra_delay*."""
-        self.messages_sent += 1
-        if self.jitter_cv <= 0:
-            delay = self.base_latency
-        elif fastpath.ENABLED:
-            idx = self._jitter_idx
-            buf = self._jitter_buf
-            if idx < len(buf):
-                self._jitter_idx = idx + 1
-                delay = buf[idx]
-            else:
-                delay = self._refill_jitter()
-        else:
-            delay = float(self.rng.lognormal(self._mu, self._sigma))
-        self.engine.schedule(delay + extra_delay, handler, *args)
+        self.engine.schedule(self.one_way() + extra_delay, handler, *args)
 
     def request(self, handler: Callable[[Completion], None]) -> Completion:
         """One-hop request whose response is signalled through a completion.

@@ -1,12 +1,16 @@
-"""Golden report digests: small runs of the four benchmark scenario shapes.
+"""Golden report digests: the oracle for the bit-identical contract.
 
-Each case is a scaled-down copy of one benchmark workload (shared-dir
-creates, Zipf reads, compile, 20-rank scale-out) with 0.5 s heartbeats,
-so every run fragments, migrates, forwards and fetches within about two
-simulated seconds.  The digest hashes the summary line, every latency at
-full precision (``float.hex``), the per-rank op counts and the balancer
-decision list.  Any change to simulated results -- event order, float
-arithmetic, RNG draws -- changes it.
+The first four cases are scaled-down copies of the benchmark workloads
+(shared-dir creates, Zipf reads, compile, 20-rank scale-out) with 0.5 s
+heartbeats, so every run fragments, migrates, forwards and fetches within
+about two simulated seconds.  The ``policy/...`` cases run shared-dir
+creates on three ranks under every stock policy (and no policy), and Zipf
+reads under greedy-spill, at the default heartbeat.
+
+The digest hashes the summary line, every latency at full precision
+(``float.hex``), the per-rank op counts and the balancer decision list.
+Any change to simulated results -- event order, float arithmetic, RNG
+draws -- changes it.
 
 A deliberate re-baseline prints the current digests with::
 
@@ -35,11 +39,38 @@ GOLDEN = {
         "02b039997a8615b4189a2e157d49daf54122cdf0f2859f8aef2fb234ff940862",
     "scale20":
         "f3a5c57b6b5a99faf5973508d4f9754e18b3312111f75ccc186cd858c352356c",
+    "policy/create/none":
+        "12caa39344ac00dba3ede740296230536105e244dbc99de6c02b46060470f73b",
+    "policy/create/cephfs-original":
+        "10f1ae8236344beb6deb68d9bb115956e96e71d07d039e448259c9c15ed57805",
+    "policy/create/greedy-spill":
+        "c9ae26bb2e60f9f2ab5c8cf1454f4dc7200a937e8923543a44fc1a38590e19db",
+    "policy/create/fill-and-spill":
+        "d09bfa1ffebd1b67d06190fca8f2e71c10fd36f53bafeabfc9e9a89de8b99b3f",
+    "policy/create/adaptable":
+        "6839ecb4b23fe25829fb07b797a6a5d9b2adfe13192aa3df0fac159e7d6be878",
+    "policy/zipf/greedy-spill":
+        "5d0f0eccecef8c16bbf5e72b7b0b3cd6c5c704aba74f71be9146b481895af053",
 }
 
 
 def scenario(name: str, seed: int = 1):
-    """``(config, workload, policy name)`` of one scenario shape."""
+    """``(config, workload, policy name)`` of one scenario shape.
+
+    The ``policy/...`` shapes keep the fixed seeds they were recorded with.
+    """
+    if name.startswith("policy/create/"):
+        config = ClusterConfig(num_mds=3, num_clients=4, seed=11,
+                               dir_split_size=600)
+        workload = CreateWorkload(num_clients=4, files_per_client=4000,
+                                  shared_dir=True)
+        return config, workload, name.rpartition("/")[2]
+    if name == "policy/zipf/greedy-spill":
+        config = ClusterConfig(num_mds=2, num_clients=3, seed=5,
+                               dir_split_size=800)
+        workload = ZipfWorkload(num_clients=3, num_files=2000,
+                                ops_per_client=4000, seed=5)
+        return config, workload, "greedy-spill"
     if name == "create_shared":
         config = ClusterConfig(num_mds=2, num_clients=4, seed=seed,
                                dir_split_size=1000,
@@ -85,7 +116,8 @@ def report_digest(report) -> str:
 def run_digest(name: str) -> str:
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config)
-    cluster.set_policy(STOCK_POLICIES[policy]())
+    if policy != "none":
+        cluster.set_policy(STOCK_POLICIES[policy]())
     return report_digest(cluster.run_workload(workload))
 
 

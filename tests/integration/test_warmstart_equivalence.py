@@ -1,18 +1,17 @@
-"""Warm starts and the result cache must be invisible.
+"""Parallel sweeps, warm starts and the result cache must be invisible.
 
-The fork-based cell server shares namespace construction and the
-policy-independent simulation prefix across grid cells; the result cache
-skips cells entirely.  Both must return records *byte-identical* to a
-cold run -- same summary lines, same latency percentiles bit-for-bit --
-and the cache must miss whenever anything sim-visible changes (sources,
-policy text, seed, fast-path toggle).
+Worker processes run cells independently; the fork-based cell server
+shares namespace construction and the policy-independent simulation
+prefix across grid cells; the result cache skips cells entirely.  All
+three must return records *byte-identical* to a serial cold run -- same
+summary lines, same latency percentiles bit-for-bit -- and the cache must
+miss whenever anything sim-visible changes (sources, policy text, seed).
 """
 
 import json
 
 import pytest
 
-from repro import fastpath
 from repro.perf.cache import ResultCache, cache_disabled, open_cache
 from repro.perf.fingerprint import spec_fingerprint, sources_digest
 from repro.perf.sweep import (
@@ -32,6 +31,11 @@ SMALL = dict(files_per_client=300, dir_split_size=200)
 def small_specs():
     return build_specs([0, 1], ["none", "greedy-spill", "fill-and-spill"],
                        **SMALL)
+
+
+def test_sweep_parallel_matches_serial():
+    specs = build_specs([0, 1], ["greedy-spill"], **SMALL)
+    assert run_sweep(specs, jobs=2) == run_sweep(specs, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +166,6 @@ class TestFingerprintInvalidation:
 
         monkeypatch.setitem(STOCK_POLICIES, "greedy-spill", edited)
         assert spec_fingerprint(spec) != before
-
-    def test_fastpath_toggle_is_a_miss(self):
-        spec = build_specs([0], ["greedy-spill"], **SMALL)[0]
-        before = spec_fingerprint(spec)
-        original = fastpath.ENABLED
-        try:
-            fastpath.set_enabled(not original)
-            assert spec_fingerprint(spec) != before
-        finally:
-            fastpath.set_enabled(original)
 
     def test_sources_digest_is_stable_within_process(self):
         assert sources_digest() == sources_digest()

@@ -113,6 +113,27 @@ class TestLoadCounters:
         counters.scale(0.5, now=0.0)
         assert counters.get("IRD", 0.0) == pytest.approx(4.0)
 
+    def test_snapshot_matches_per_counter_decay(self):
+        """snapshot()'s grouped decay equals DecayCounter.get per kind."""
+
+        def build():
+            counters = LoadCounters(half_life=5.0)
+            t = 0.0
+            for i in range(200):
+                t += 0.37
+                counters.hit("IRD" if i % 3 else "IWR", t,
+                             amount=1.0 + i % 5)
+                if i % 7 == 0:
+                    counters.hit("READDIR", t)
+            return counters, t
+
+        grouped, t = build()
+        reference, _ = build()
+        for now in (t, t + 2.5, t + 2.5, t + 40.0):
+            assert grouped.snapshot(now) == {
+                kind: counter.get(now)
+                for kind, counter in reference.counters.items()}
+
     def test_reset_zeroes_all(self):
         counters = LoadCounters()
         for kind in OP_KINDS:
@@ -129,3 +150,19 @@ class TestLoadCounters:
         a.absorb(source, 0.0, fraction)
         a.absorb(source, 0.0, 1.0 - fraction)
         assert a.get("STORE", 0.0) == pytest.approx(42.0)
+
+
+def test_decay_counter_inline_arithmetic_matches_reference():
+    """The decay arithmetic copied into the hit() fast paths stays exact."""
+    counter = DecayCounter(half_life=4.0)
+    mirror = 0.0
+    now = 0.0
+    for i in range(50):
+        gap = 0.2 + (i % 9) * 0.31
+        now += gap
+        counter.hit(now, amount=2.0)
+        mirror *= math.pow(0.5, gap / 4.0)
+        if mirror < 1e-12:
+            mirror = 0.0
+        mirror += 2.0
+        assert counter.get(now) == pytest.approx(mirror, rel=1e-12)

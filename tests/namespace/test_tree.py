@@ -160,6 +160,22 @@ class TestAuthority:
                      if frags[0].contains_name(name))
         assert namespace.authority_for_path(f"/d/{moved}") == 3
 
+    def test_rename_moves_inherited_authority(self):
+        # Authority memos must not survive a rename that moves a directory
+        # under a different owner.
+        namespace = Namespace(root_auth=0)
+        namespace.mkdirs("/b").set_auth(1)
+        x = namespace.mkdirs("/a/x")
+        y = namespace.mkdirs("/a/x/y")
+        assert (x.authority(), y.authority()) == (0, 0)
+        assert x.frag_map() == ((0, 0, 0),)
+        assert namespace.authority_for_path("/a/x/y") == 0
+        namespace.rename("/a/x", "/b/x")
+        assert (x.authority(), y.authority()) == (1, 1)
+        assert namespace.authority_for_path("/b/x/y") == 1
+        assert x.frag_map() == ((0, 0, 1),)
+        assert x.effective_spread() == 1.0
+
     def test_metadata_load_sums_owned_frags(self):
         namespace = Namespace(half_life=5.0)
         d = namespace.mkdirs("/d")

@@ -43,6 +43,28 @@ class TestDelivery:
         assert np.std(samples) > 0
         assert np.mean(samples) == pytest.approx(0.001, rel=0.05)
 
+    def test_batched_jitter_replays_scalar_draws(self):
+        """one_way, deliver and deliver_after share one batched lognormal
+        stream that replays scalar draws from the same seed exactly."""
+        engine = SimEngine()
+        network = Network(engine, np.random.Generator(np.random.PCG64(123)))
+        sigma2 = np.log(1.0 + 0.2 ** 2)
+        mu, sigma = np.log(0.0002) - sigma2 / 2.0, np.sqrt(sigma2)
+        reference = np.random.Generator(np.random.PCG64(123))
+        expected = [float(reference.lognormal(mu, sigma))
+                    for _ in range(3000)]
+        delays: dict[int, float] = {}
+        for i in range(3000):
+            if i % 3 == 0:
+                delays[i] = network.one_way()
+            elif i % 3 == 1:
+                network.deliver(lambda i=i: delays.__setitem__(i, engine.now))
+            else:
+                network.deliver_after(
+                    0.0, lambda i=i: delays.__setitem__(i, engine.now))
+        engine.run()
+        assert [delays[i] for i in range(3000)] == expected
+
     def test_zero_jitter_deterministic(self):
         engine = SimEngine()
         network = make_network(engine, jitter=0.0)
