@@ -114,13 +114,16 @@ class Client:
         self._issue(op[0], op[1], op[2] if len(op) > 2 else None)
 
     def _complete(self, pending: PendingOp, reply: MetaReply) -> None:
-        """The reply to *pending* arrived: account it, learn from it, and
-        move its worker on to the next op."""
+        """The reply to *pending* arrived: account it, hand it to the
+        trace sink if the run is recorded, learn from it, and move its
+        worker on to the next op."""
         self.metrics.latencies.record(self.client_id,
                                       self.engine.now - pending.issued_at)
         self.ops_completed += 1
         if reply.error is not None:
             self.errors += 1
+        if self.metrics.trace is not None:
+            self.metrics.trace(self.engine.now, self.client_id, reply)
         self._learn(pending.path, reply)
         if self.think_time > 0:
             self.engine.schedule(self.think_time, self._next_op)

@@ -18,13 +18,13 @@ from .analysis import DEFAULT_LINT_RANKS, LintReport, PolicyLintError, \
 from .clients.client import Client, build_clients
 from .config import ClusterConfig
 from .core.api import MantlePolicy
-from .core.balancer import BalanceDecision, MantleBalancer
+from .core.balancer import MantleBalancer
 from .faults.injector import FaultInjector
 from .faults.schedule import FaultSchedule
 from .lifecycle import (CanaryController, PolicyStore, PolicyVersion,
-                        ShadowEvaluator, ShadowTick, StabilityGuard)
+                        ShadowEvaluator, StabilityGuard, shadow_summary)
 from .mds.server import MdsServer
-from .metrics.collectors import ClusterMetrics, FaultRecord, LifecycleRecord
+from .metrics.collectors import ClusterMetrics, RunRecordViews
 from .metrics.heatmap import HeatSampler
 from .metrics.stats import Summary, summarize
 from .namespace.tree import Namespace
@@ -36,8 +36,14 @@ from .workloads.base import Workload
 
 
 @dataclass
-class SimReport:
-    """Everything a benchmark needs from one run."""
+class SimReport(RunRecordViews):
+    """Everything a benchmark needs from one run.
+
+    ``decisions``, ``fault_events``, ``lifecycle_events``,
+    ``shadow_log`` and ``shadow_summary`` are read-only views over
+    ``records``, the run-record stream as it stood when the report was
+    taken.
+    """
 
     config: ClusterConfig
     policy_name: str
@@ -45,24 +51,20 @@ class SimReport:
     total_ops: int
     client_runtimes: dict[int, float]
     metrics: ClusterMetrics
-    decisions: list[BalanceDecision] = field(default_factory=list)
+    records: list = field(default_factory=list)
     heat: Optional[HeatSampler] = None
-    fault_events: list[FaultRecord] = field(default_factory=list)
     #: True when the balancer's circuit breaker tripped during the run.
     policy_tripped: bool = False
-    #: Policy-lifecycle trace: breaker transitions, guard vetoes, canary
-    #: rollout events, version commits.
-    lifecycle_events: list[LifecycleRecord] = field(default_factory=list)
     #: Version log of the RADOS-backed policy store.
     policy_log: list[PolicyVersion] = field(default_factory=list)
-    #: Per-tick divergence log of an armed shadow policy (empty otherwise).
-    shadow_log: list[ShadowTick] = field(default_factory=list)
-    #: Aggregate shadow stats (None when no shadow was armed).
-    shadow_summary: Optional[dict] = None
+    #: Name of the armed shadow policy (None when no shadow was armed).
+    shadow_policy: Optional[str] = None
     #: Static-analysis reports for every policy injected through
     #: ``set_policy`` during this run, keyed by policy name (empty when
     #: lint was disabled).
     lint_reports: dict[str, LintReport] = field(default_factory=dict)
+    #: Client sessions opened, summed over all ranks.
+    sessions_opened: int = 0
 
     @property
     def throughput(self) -> float:
@@ -82,10 +84,11 @@ class SimReport:
         return self.metrics.total_session_flushes
 
     @property
-    def sessions_opened(self) -> int:
-        return self._sessions_opened
-
-    _sessions_opened: int = 0
+    def shadow_summary(self) -> Optional[dict]:
+        """Aggregate shadow stats (None when no shadow was armed)."""
+        if self.shadow_policy is None:
+            return None
+        return shadow_summary(self.shadow_policy, self.shadow_log)
 
     @property
     def total_migrations_aborted(self) -> int:
@@ -246,14 +249,10 @@ class SimulatedCluster:
             self.guard = StabilityGuard(
                 window=config.guard_window,
                 max_bounces=config.guard_max_bounces,
-                events=self.metrics.record_lifecycle,
+                events=self.metrics.record,
             )
         self.shadow: Optional[ShadowEvaluator] = None
         self.canary: Optional[CanaryController] = None
-        #: Every balancer that ran during this simulation (the shared
-        #: primary, plus a canary's if one was armed) -- the report merges
-        #: their decision logs.
-        self.balancers: list[MantleBalancer] = []
         self.balancer: Optional[MantleBalancer] = None
         if policy is not None:
             self.set_policy(policy)
@@ -322,21 +321,19 @@ class SimulatedCluster:
             error_threshold=self.config.policy_error_threshold,
             probation_ticks=self.config.policy_probation_ticks,
             guard=self.guard,
-            events=self.metrics.record_lifecycle,
+            events=self.metrics.record,
         )
-        self.balancers = [self.balancer]
         for mds in self.mdss:
             mds.balancer = self.balancer
         version = self.policy_store.commit(policy, 0.0, note=note,
                                            lint=lint_summary)
-        self.metrics.record_lifecycle(
+        self.metrics.record(
             0.0, "policy-commit", -1,
             f"v{version.version}: '{policy.name}' ({note})",
         )
 
     def clear_policy(self) -> None:
         self.balancer = None
-        self.balancers = []
         for mds in self.mdss:
             mds.balancer = None
 
@@ -345,8 +342,8 @@ class SimulatedCluster:
         """Dry-run *policy* beside the live balancer on every tick.
 
         The shadow sees the exact bindings the live policy decided on but
-        never applies its decisions; its divergence log lands in the
-        report's ``shadow_log``.
+        never applies its decisions; its per-tick divergence records land
+        in the run-record stream (the report's ``shadow_log``).
         """
         if self.balancer is None:
             raise RuntimeError("inject a live policy before arming a shadow")
@@ -367,7 +364,6 @@ class SimulatedCluster:
                                       at=at, window=window, **health)
         self.canary = controller
         self.mdss[controller.rank].lifecycle = controller
-        self.balancers.append(controller.balancer)
         return controller
 
     # -- manual partitioning (for the Fig 3 forced-spread setups) ------------
@@ -513,26 +509,10 @@ class SimulatedCluster:
             if self.engine.now >= deadline or not self.engine.step():
                 break
 
-    def _merged_decisions(self) -> list[BalanceDecision]:
-        """Decision log across all balancers that ran.
-
-        With a single balancer the list is returned as-is (the seed
-        behaviour); with a canary's second balancer the two logs interleave
-        sorted by tick time (ranks tick at distinct, offset times).
-        """
-        if not self.balancers:
-            return []
-        if len(self.balancers) == 1:
-            return list(self.balancers[0].decisions)
-        merged = [decision for balancer in self.balancers
-                  for decision in balancer.decisions]
-        merged.sort(key=lambda d: (d.time, d.rank))
-        return merged
-
     def _report(self) -> SimReport:
         if self.heat is not None:
             self.heat.stop()
-        report = SimReport(
+        return SimReport(
             config=self.config,
             policy_name=(self.balancer.policy.name
                          if self.balancer else "none"),
@@ -540,21 +520,16 @@ class SimulatedCluster:
             total_ops=self.metrics.total_ops,
             client_runtimes=self.metrics.client_runtimes(),
             metrics=self.metrics,
-            decisions=self._merged_decisions(),
+            records=list(self.metrics.records),
             heat=self.heat,
-            fault_events=list(self.metrics.fault_events),
             policy_tripped=(self.balancer.tripped
                             if self.balancer else False),
-            lifecycle_events=list(self.metrics.lifecycle_events),
             policy_log=list(self.policy_store.log()),
-            shadow_log=(list(self.shadow.log) if self.shadow else []),
-            shadow_summary=(self.shadow.summary() if self.shadow else None),
+            shadow_policy=(self.shadow.policy.name if self.shadow else None),
             lint_reports=dict(self._lint_reports),
+            sessions_opened=sum(mds.sessions.sessions_opened
+                                for mds in self.mdss),
         )
-        report._sessions_opened = sum(
-            mds.sessions.sessions_opened for mds in self.mdss
-        )
-        return report
 
 
 def run_experiment(config: ClusterConfig, workload: Workload,

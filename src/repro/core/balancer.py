@@ -18,7 +18,7 @@ for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 from ..luapolicy.errors import LuaError
 from ..mds.migration import ExportUnit
@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class BalanceDecision:
     """Record of one balancing tick (for tests, reports and debugging)."""
 
+    kind: ClassVar[str] = "decision"
     time: float
     rank: int
     went: bool
@@ -75,7 +76,9 @@ class MantleBalancer:
     * ``shadow`` -- a :class:`repro.lifecycle.ShadowEvaluator` fed each
       tick's exact binding inputs, never affecting decisions;
     * ``events`` -- ``(time, kind, rank, detail)`` sink for breaker
-      transitions, normally :meth:`ClusterMetrics.record_lifecycle`.
+      transitions, each tick's decision (kind ``"decision"``) and each
+      shadow tick (kind ``"shadow"``), normally
+      :meth:`ClusterMetrics.record`.
     """
 
     def __init__(self, policy: MantlePolicy,
@@ -190,11 +193,14 @@ class MantleBalancer:
                                    fallback=self.tripped,
                                    probation=self.breaker == "probation")
         self.decisions.append(decision)
+        self._emit(now, "decision", mds.rank, decision)
         self._tick_inner(mds, decision)
         if decision.error is None:
             self._after_clean_tick(decision, now, mds.rank)
         if self.shadow is not None:
-            self.shadow.observe(now, mds.rank, decision, self._tick_inputs)
+            self._emit(now, "shadow", mds.rank,
+                       self.shadow.observe(now, mds.rank, decision,
+                                           self._tick_inputs))
             self._tick_inputs = None
         return decision
 

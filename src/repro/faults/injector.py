@@ -1,9 +1,9 @@
 """The fault injector: executes a :class:`FaultSchedule` against a cluster.
 
 Every fault and every recovery is recorded as a
-:class:`~repro.metrics.collectors.FaultRecord` in the cluster metrics, so
-reports can show when a rank died, when its authority moved, and when it
-came back.
+:class:`~repro.metrics.collectors.RunEvent` in the cluster's run-record
+stream, so reports can show when a rank died, when its authority moved,
+and when it came back.
 
 Determinism: the injector schedules its handlers on the cluster's event
 engine (same heap, same tie-breaking) and draws randomness only from the
@@ -130,7 +130,7 @@ class FaultInjector:
             raise TypeError(f"unknown fault event {event!r}")
 
     def _record(self, kind: str, rank: int, detail: str = "") -> None:
-        self.cluster.metrics.record_fault(
+        self.cluster.metrics.record(
             self.cluster.engine.now, kind, rank, detail)
 
     # -- crash / restart / takeover -------------------------------------

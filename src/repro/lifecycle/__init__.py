@@ -20,7 +20,7 @@ bit-identical across serial, ``--jobs N`` and warm-start execution.
 
 from .canary import CanaryController
 from .guard import StabilityGuard
-from .shadow import ShadowEvaluator, ShadowTick
+from .shadow import ShadowEvaluator, ShadowTick, shadow_summary
 from .store import PolicyStore, PolicyVersion
 
 __all__ = [
@@ -30,4 +30,5 @@ __all__ = [
     "ShadowEvaluator",
     "ShadowTick",
     "StabilityGuard",
+    "shadow_summary",
 ]

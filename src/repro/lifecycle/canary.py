@@ -66,7 +66,7 @@ class CanaryController:
             candidate,
             error_threshold=cluster.config.policy_error_threshold,
             guard=cluster.guard,
-            events=cluster.metrics.record_lifecycle,
+            events=cluster.metrics.record,
         )
         #: armed -> watching -> promoted | rolled-back.
         self.phase = "armed"
@@ -101,7 +101,7 @@ class CanaryController:
         self._latency_marks = latencies.marks()
         self._baseline_p99 = latencies.percentile(99.0)
         mds.balancer = self.balancer
-        self.cluster.metrics.record_lifecycle(
+        self.cluster.metrics.record(
             now, "canary-start", self.rank,
             f"policy '{self.candidate.name}' "
             f"(v{self.candidate_version}) on mds{self.rank}, "
@@ -170,7 +170,7 @@ class CanaryController:
         for mds in self.cluster.mdss:
             mds.balancer = self.balancer
         self.cluster.balancer = self.balancer
-        self.cluster.metrics.record_lifecycle(
+        self.cluster.metrics.record(
             now, "canary-promote", -1,
             f"policy '{self.candidate.name}' "
             f"(v{self.candidate_version}) promoted to all ranks",
@@ -187,7 +187,7 @@ class CanaryController:
             )
             detail += (f"; store rolled back to v{self.baseline_version}"
                        f" (as v{restored.version})")
-        self.cluster.metrics.record_lifecycle(
+        self.cluster.metrics.record(
             now, "canary-rollback", self.rank,
             f"policy '{self.candidate.name}' rolled back: {detail}",
         )

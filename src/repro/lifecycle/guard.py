@@ -26,7 +26,7 @@ class StabilityGuard:
     One guard serves the whole cluster (every balancer consults the same
     move history -- a bounce is a cluster-wide property, not a per-rank
     one).  ``events`` is an optional ``(time, kind, rank, detail)`` sink,
-    normally :meth:`ClusterMetrics.record_lifecycle`.
+    normally :meth:`ClusterMetrics.record`.
     """
 
     def __init__(self, window: float = 60.0, max_bounces: int = 2,

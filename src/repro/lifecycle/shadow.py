@@ -20,7 +20,7 @@ reuses the live tick's dicts read-only and keeps a private
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..core.api import MantlePolicy
 from ..core.environment import build_decision_bindings, extract_targets
@@ -32,6 +32,7 @@ from ..luapolicy.errors import LuaError
 class ShadowTick:
     """Divergence record of one balancing tick."""
 
+    kind: ClassVar[str] = "shadow"
     time: float
     rank: int
     live_went: bool
@@ -48,7 +49,8 @@ class ShadowTick:
 
 class ShadowEvaluator:
     """Runs a candidate policy's hooks beside the live one, never applying
-    its decisions."""
+    its decisions.  Each :meth:`observe` returns the tick's record; the
+    live balancer appends it to the run-record stream."""
 
     def __init__(self, policy: MantlePolicy) -> None:
         policy.compile_all()
@@ -56,9 +58,6 @@ class ShadowEvaluator:
         self.state = BalancerState()
         self.metaload_fn = policy.metaload_fn()
         self.mdsload_fn = policy.mdsload_fn()
-        self.log: list[ShadowTick] = []
-        self.errors = 0
-        self.divergences = 0
 
     def observe(self, now: float, rank: int, live_decision,
                 inputs) -> ShadowTick:
@@ -70,12 +69,10 @@ class ShadowEvaluator:
         -- the shadow then skips too, for the same reason.
         """
         if inputs is None:
-            tick = ShadowTick(
+            return ShadowTick(
                 time=now, rank=rank, live_went=live_decision.went,
                 skipped=live_decision.skipped or "live tick errored",
             )
-            self.log.append(tick)
-            return tick
         mds_metrics, local_counters, auth_counters, all_counters = inputs
         # Copies: the candidate's mdsload must not clobber the live
         # "load" values other components may still read.
@@ -98,16 +95,11 @@ class ShadowEvaluator:
             )
             result = self.policy.decision_chunk().run(bindings)
         except LuaError as exc:
-            self.errors += 1
-            tick = ShadowTick(
+            return ShadowTick(
                 time=now, rank=rank, live_went=live_decision.went,
                 live_targets=dict(live_decision.targets),
                 diverged=live_decision.went, error=str(exc),
             )
-            if tick.diverged:
-                self.divergences += 1
-            self.log.append(tick)
-            return tick
         go = result.global_value("go")
         targets: dict[int, float] = {}
         if go is not None and go is not False:
@@ -124,27 +116,23 @@ class ShadowEvaluator:
             for r in sorted(set(targets) | set(live_targets))
             if targets.get(r, 0.0) != live_targets.get(r, 0.0)
         }
-        diverged = went != live_decision.went or bool(deltas)
-        if diverged:
-            self.divergences += 1
-        tick = ShadowTick(
+        return ShadowTick(
             time=now, rank=rank, live_went=live_decision.went,
             shadow_went=went, live_targets=live_targets,
             shadow_targets=targets, target_deltas=deltas,
-            diverged=diverged,
+            diverged=went != live_decision.went or bool(deltas),
         )
-        self.log.append(tick)
-        return tick
 
-    # -- reporting ------------------------------------------------------
-    def summary(self) -> dict:
-        evaluated = [t for t in self.log if t.skipped is None]
-        return {
-            "policy": self.policy.name,
-            "ticks": len(self.log),
-            "evaluated": len(evaluated),
-            "would_migrate": sum(1 for t in evaluated if t.shadow_went),
-            "live_migrated": sum(1 for t in evaluated if t.live_went),
-            "divergences": self.divergences,
-            "errors": self.errors,
-        }
+
+def shadow_summary(policy: str, ticks: list[ShadowTick]) -> dict:
+    """Aggregate stats of a shadow named *policy* over its *ticks*."""
+    evaluated = [t for t in ticks if t.skipped is None]
+    return {
+        "policy": policy,
+        "ticks": len(ticks),
+        "evaluated": len(evaluated),
+        "would_migrate": sum(1 for t in evaluated if t.shadow_went),
+        "live_migrated": sum(1 for t in evaluated if t.live_went),
+        "divergences": sum(1 for t in ticks if t.diverged),
+        "errors": sum(1 for t in ticks if t.error is not None),
+    }

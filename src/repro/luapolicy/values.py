@@ -8,7 +8,7 @@ environment (e.g. ``WRstate``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .errors import LuaRuntimeError
 
@@ -229,13 +229,3 @@ def to_python(value: LuaValue) -> Any:
             return [to_python(item) for item in value.to_list()]
         return {key: to_python(item) for key, item in data.items()}
     return value
-
-
-def python_callable(fn: Callable[..., Any], name: str | None = None):
-    """Wrap a Python function for the Lua environment, converting the result."""
-
-    def wrapper(*args: LuaValue) -> LuaValue:
-        return from_python(fn(*args))
-
-    wrapper.__name__ = name or getattr(fn, "__name__", "builtin")
-    return wrapper

@@ -64,11 +64,6 @@ class ExportUnit:
         for frag in self.frags():
             frag.frozen = False
 
-    def current_auth(self) -> int:
-        if self.is_subtree:
-            return self.target.authority()
-        return self.target.authority()
-
     def set_auth(self, rank: int) -> None:
         if self.is_subtree:
             self.target.set_auth(rank)

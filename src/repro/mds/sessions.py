@@ -83,7 +83,3 @@ class SessionTable:
 
     def __len__(self) -> int:
         return len(self._sessions)
-
-    @property
-    def all_sessions(self) -> list[Session]:
-        return list(self._sessions.values())

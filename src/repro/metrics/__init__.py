@@ -2,10 +2,9 @@
 
 from .collectors import (
     ClusterMetrics,
-    FaultRecord,
     LatencyRecorder,
-    LifecycleRecord,
     MdsMetrics,
+    RunEvent,
     Timeline,
 )
 from .heatmap import HeatSampler, default_heat
@@ -22,11 +21,10 @@ from .tracing import TraceEvent, TraceRecorder, record_run
 
 __all__ = [
     "ClusterMetrics",
-    "FaultRecord",
     "HeatSampler",
     "LatencyRecorder",
-    "LifecycleRecord",
     "MdsMetrics",
+    "RunEvent",
     "Summary",
     "TraceEvent",
     "TraceRecorder",

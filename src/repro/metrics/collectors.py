@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -163,33 +164,59 @@ class LatencyRecorder:
         return float(lat.std()) if lat.size else 0.0
 
 
+#: Policy-lifecycle event kinds: rollout, guard, breaker and version
+#: commits.  Every other :class:`RunEvent` is a fault or a recovery.
+LIFECYCLE_KINDS = frozenset({
+    "canary-start", "canary-promote", "canary-rollback", "guard-veto",
+    "breaker-open", "breaker-probation", "breaker-close",
+    "breaker-permanent", "policy-commit",
+})
+#: Kinds whose producer passes its own record object as the detail:
+#: a balancer tick's ``BalanceDecision`` and a shadow's ``ShadowTick``.
+SELF_RECORDED_KINDS = frozenset({"decision", "shadow"})
+
+
 @dataclass(frozen=True)
-class FaultRecord:
-    """One fault (or recovery) event, for the trace in the report."""
+class RunEvent:
+    """One fault, recovery or policy-lifecycle event of a run."""
 
     time: float
-    kind: str      # e.g. "crash", "restart", "takeover", "partition-heal"
-    rank: int      # primary rank affected; -1 for cluster-wide events
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class LifecycleRecord:
-    """One policy-lifecycle event (rollout, guard, breaker), for the trace.
-
-    Kinds: ``canary-start``, ``canary-promote``, ``canary-rollback``,
-    ``guard-veto``, ``breaker-open``, ``breaker-probation``,
-    ``breaker-close``, ``breaker-permanent``, ``policy-commit``.
-    """
-
-    time: float
-    kind: str
+    kind: str      # e.g. "crash", "takeover", "canary-start", "guard-veto"
     rank: int      # rank the event concerns; -1 for cluster-wide events
     detail: str = ""
 
 
+class RunRecordViews:
+    """Read-only views over ``records``, the run-record stream.
+
+    The stream holds :class:`RunEvent`, ``BalanceDecision`` and
+    ``ShadowTick`` records in the order they happened; each has ``time``,
+    ``kind`` and ``rank``.
+    """
+
+    records: list
+
+    @property
+    def decisions(self) -> list:
+        return [r for r in self.records if r.kind == "decision"]
+
+    @property
+    def shadow_log(self) -> list:
+        return [r for r in self.records if r.kind == "shadow"]
+
+    @property
+    def lifecycle_events(self) -> list[RunEvent]:
+        return [r for r in self.records if r.kind in LIFECYCLE_KINDS]
+
+    @property
+    def fault_events(self) -> list[RunEvent]:
+        return [r for r in self.records
+                if r.kind not in LIFECYCLE_KINDS
+                and r.kind not in SELF_RECORDED_KINDS]
+
+
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(RunRecordViews):
     """Everything measured during one simulation run."""
 
     per_mds: dict[int, MdsMetrics] = field(default_factory=dict)
@@ -197,21 +224,19 @@ class ClusterMetrics:
     latencies: LatencyRecorder = field(default_factory=LatencyRecorder)
     client_finish_times: dict[int, float] = field(default_factory=dict)
     client_op_counts: dict[int, int] = field(default_factory=dict)
-    fault_events: list[FaultRecord] = field(default_factory=list)
-    lifecycle_events: list[LifecycleRecord] = field(default_factory=list)
+    #: The run-record stream, appended to through :meth:`record`.
+    records: list = field(default_factory=list)
+    #: ``(now, client_id, reply)`` sink that clients hand every reply to
+    #: while a run is being recorded (see ``metrics.tracing.record_run``).
+    trace: Optional[Callable] = None
 
-    def record_fault(self, time: float, kind: str, rank: int,
-                     detail: str = "") -> FaultRecord:
-        record = FaultRecord(time=time, kind=kind, rank=rank, detail=detail)
-        self.fault_events.append(record)
-        return record
-
-    def record_lifecycle(self, time: float, kind: str, rank: int,
-                         detail: str = "") -> LifecycleRecord:
-        record = LifecycleRecord(time=time, kind=kind, rank=rank,
-                                 detail=detail)
-        self.lifecycle_events.append(record)
-        return record
+    def record(self, time: float, kind: str, rank: int,
+               detail="") -> None:
+        """Append one record to the stream: the ``events=`` sink of every
+        producer.  Faults and lifecycle events pass a string *detail*; a
+        ``"decision"`` or ``"shadow"`` producer passes its own record."""
+        self.records.append(detail if kind in SELF_RECORDED_KINDS
+                            else RunEvent(time, kind, rank, detail))
 
     def mds(self, rank: int) -> MdsMetrics:
         metrics = self.per_mds.get(rank)

@@ -1,8 +1,8 @@
 """Op-level trace recording and replay.
 
-Attach a :class:`TraceRecorder` to a cluster to capture every client
-operation (issue time, kind, path, latency, serving rank).  Recorded
-traces can be saved/loaded as JSON-lines and converted into a
+:func:`record_run` captures every client operation of a run (completion
+time, kind, path, latency, serving rank) in a :class:`TraceRecorder`.
+Recorded traces can be saved/loaded as JSON-lines and converted into a
 :class:`~repro.workloads.patterns.TraceWorkload`, enabling the
 record-once / replay-against-many-balancers methodology the paper uses
 to compare strategies "on the same storage system".
@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from ..clients.ops import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..clients.ops import MetaReply
     from ..cluster import SimulatedCluster
     from ..workloads.patterns import TraceWorkload
 
@@ -50,15 +51,15 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
 
-    # -- direct recording API (used by the record_run tap) ------------------
-    def record_reply(self, now: float, client_id: int, kind: OpKind,
-                     path: str, latency: float, served_by: int,
-                     forwards: int, ok: bool,
-                     dst: str | None = None) -> None:
+    def record_reply(self, now: float, client_id: int,
+                     reply: "MetaReply") -> None:
+        """The trace sink: clients call it with every reply while
+        :func:`record_run` records."""
         self.events.append(TraceEvent(
-            time=round(now, 6), client_id=client_id, kind=kind.value,
-            path=path, latency=round(latency, 6), served_by=served_by,
-            forwards=forwards, ok=ok, dst=dst,
+            time=round(now, 6), client_id=client_id, kind=reply.kind.value,
+            path=reply.path, latency=round(reply.latency, 6),
+            served_by=reply.served_by, forwards=reply.forwards,
+            ok=reply.ok, dst=reply.dst,
         ))
 
     # -- persistence ------------------------------------------------------
@@ -122,30 +123,13 @@ def record_run(cluster: "SimulatedCluster", workload,
                **kwargs) -> tuple["TraceRecorder", object]:
     """Run *workload* on *cluster* while recording every op.
 
-    Returns (recorder, SimReport).
+    The recorder is the cluster's trace sink for this run only; recording
+    changes nothing in the run.  Returns (recorder, SimReport).
     """
-    from ..clients.client import Client
-
     recorder = TraceRecorder()
-    original_learn = Client._learn
-
-    def learning_tap(self, path, reply):
-        recorder.record_reply(
-            now=self.engine.now,
-            client_id=self.client_id,
-            kind=reply.kind,
-            path=reply.path,
-            latency=reply.latency,
-            served_by=reply.served_by,
-            forwards=reply.forwards,
-            ok=reply.ok,
-            dst=reply.dst,
-        )
-        return original_learn(self, path, reply)
-
-    Client._learn = learning_tap
+    cluster.metrics.trace = recorder.record_reply
     try:
         report = cluster.run_workload(workload, **kwargs)
     finally:
-        Client._learn = original_learn
+        cluster.metrics.trace = None
     return recorder, report

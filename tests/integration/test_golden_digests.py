@@ -5,10 +5,15 @@ The first four cases are scaled-down copies of the benchmark workloads
 heartbeats, so every run fragments, migrates, forwards and fetches within
 about two simulated seconds.  The ``policy/...`` cases run shared-dir
 creates on three ranks under every stock policy (and no policy), and Zipf
-reads under greedy-spill, at the default heartbeat.
+reads under greedy-spill, at the default heartbeat.  The
+``lifecycle/faults`` case runs shared-dir creates under greedy-spill with a
+limping CPU, a crash and takeover, the stability guard, a fill-and-spill
+shadow and an adaptable canary that starts and rolls back inside the run.
 
 The digest hashes the summary line, every latency at full precision
-(``float.hex``), the per-rank op counts and the balancer decision list.
+(``float.hex``), the per-rank op counts and the balancer decision list;
+the ``lifecycle/faults`` digest also hashes the fault and lifecycle events,
+the shadow log and the shadow summary.
 Any change to simulated results -- event order, float arithmetic, RNG
 draws -- changes it.
 
@@ -26,9 +31,12 @@ import pytest
 from repro.cluster import SimulatedCluster
 from repro.config import ClusterConfig
 from repro.core.policies import STOCK_POLICIES
+from repro.faults import FaultSchedule
+from repro.metrics.tracing import record_run
 from repro.workloads import CompileWorkload, CreateWorkload, ZipfWorkload
 
 HEARTBEAT = 0.5
+LIFECYCLE = "lifecycle/faults"
 
 GOLDEN = {
     "create_shared":
@@ -51,6 +59,8 @@ GOLDEN = {
         "6839ecb4b23fe25829fb07b797a6a5d9b2adfe13192aa3df0fac159e7d6be878",
     "policy/zipf/greedy-spill":
         "5d0f0eccecef8c16bbf5e72b7b0b3cd6c5c704aba74f71be9146b481895af053",
+    LIFECYCLE:
+        "cd02a6502dc07fa1536adb52d3c0f7baa78af7d16459f7ddba997fd9cc85bf0d",
 }
 
 
@@ -113,7 +123,46 @@ def report_digest(report) -> str:
     return digest.hexdigest()
 
 
+def lifecycle_report():
+    """The ``lifecycle/faults`` run: every run-record producer fires."""
+    config = ClusterConfig(num_mds=3, num_clients=4, seed=11,
+                           dir_split_size=600, heartbeat_interval=HEARTBEAT,
+                           stability_guard=True)
+    schedule = FaultSchedule.from_dicts([
+        {"kind": "degrade_cpu", "at": 0.5, "rank": 0, "factor": 2.0,
+         "duration": 1.0},
+        {"kind": "crash", "at": 1.6, "rank": 1, "takeover_by": 0,
+         "takeover_after": 0.5},
+    ])
+    cluster = SimulatedCluster(config,
+                               policy=STOCK_POLICIES["greedy-spill"](),
+                               fault_schedule=schedule)
+    cluster.arm_shadow(STOCK_POLICIES["fill-and-spill"]())
+    cluster.arm_canary(STOCK_POLICIES["adaptable"](), at=0.5, window=1.0)
+    cluster.run_workload(CreateWorkload(num_clients=4, files_per_client=3000,
+                                        shared_dir=True))
+    cluster.quiesce()
+    return cluster._report()
+
+
+def lifecycle_digest(report) -> str:
+    digest = hashlib.sha256(report_digest(report).encode())
+    for event in report.fault_events + report.lifecycle_events:
+        digest.update(repr((event.time, event.kind, event.rank,
+                            event.detail)).encode())
+    for t in report.shadow_log:
+        digest.update(repr((t.time, t.rank, t.live_went, t.shadow_went,
+                            sorted(t.live_targets.items()),
+                            sorted(t.shadow_targets.items()),
+                            sorted(t.target_deltas.items()), t.diverged,
+                            t.error, t.skipped)).encode())
+    digest.update(repr(sorted(report.shadow_summary.items())).encode())
+    return digest.hexdigest()
+
+
 def run_digest(name: str) -> str:
+    if name == LIFECYCLE:
+        return lifecycle_digest(lifecycle_report())
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config)
     if policy != "none":
@@ -124,6 +173,37 @@ def run_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_digest_matches_golden(name):
     assert run_digest(name) == GOLDEN[name]
+
+
+def test_lifecycle_run_fills_every_view_from_one_stream():
+    report = lifecycle_report()
+    fault_kinds = {event.kind for event in report.fault_events}
+    assert {"degrade-cpu", "crash", "takeover"} <= fault_kinds
+    lifecycle_kinds = [event.kind for event in report.lifecycle_events]
+    assert "canary-start" in lifecycle_kinds
+    assert "canary-rollback" in lifecycle_kinds
+    assert report.shadow_summary["divergences"] > 0
+    assert report.shadow_summary["ticks"] == len(report.shadow_log)
+    assert any(d.exports for d in report.decisions)
+    assert len({d.rank for d in report.decisions}) == 3
+    # Each record lands in exactly one view.
+    views = (report.decisions, report.shadow_log, report.fault_events,
+             report.lifecycle_events)
+    assert sum(len(view) for view in views) == len(report.records)
+    assert {id(r) for view in views for r in view} == {
+        id(r) for r in report.records}
+    # Stream order is tick order, across the primary's and the canary's
+    # balancers alike.
+    ticks = [(d.time, d.rank) for d in report.decisions]
+    assert ticks == sorted(ticks)
+
+
+def test_recording_a_run_changes_nothing():
+    config, workload, policy = scenario("create_shared")
+    cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
+    recorder, report = record_run(cluster, workload)
+    assert len(recorder.events) == report.total_ops
+    assert report_digest(report) == GOLDEN["create_shared"]
 
 
 if __name__ == "__main__":

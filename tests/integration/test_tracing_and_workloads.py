@@ -4,9 +4,12 @@ import pytest
 
 from repro.cluster import SimulatedCluster, run_experiment
 from repro.clients.ops import OpKind
+from repro.core.policies import STOCK_POLICIES
 from repro.metrics.tracing import TraceRecorder, record_run
 from repro.workloads import CheckpointWorkload, CreateWorkload
 from tests.conftest import make_config
+from tests.integration.test_golden_digests import (GOLDEN, report_digest,
+                                                    scenario)
 
 
 class TestTraceRecording:
@@ -53,11 +56,19 @@ class TestTraceRecording:
         with pytest.raises(ValueError):
             TraceRecorder().to_workload()
 
-    def test_tap_uninstalls_after_run(self):
-        from repro.clients.client import Client
-        before = Client._learn
-        self.run_recorded(files=20)
-        assert Client._learn is before
+    def test_plain_run_after_recording_records_nothing(self):
+        """Recording is per cluster and per run: a plain run afterwards
+        has no trace sink and matches its golden digest."""
+        recorder, recorded_report = self.run_recorded(files=20)
+        assert recorded_report.metrics.trace is None
+        recorded = len(recorder.events)
+        config, workload, policy = scenario("create_shared")
+        cluster = SimulatedCluster(config,
+                                   policy=STOCK_POLICIES[policy]())
+        report = cluster.run_workload(workload)
+        assert cluster.metrics.trace is None
+        assert len(recorder.events) == recorded
+        assert report_digest(report) == GOLDEN["create_shared"]
 
     @pytest.mark.parametrize("think_time", [0.0, 0.001])
     def test_one_reply_recorded_per_completed_op(self, think_time):

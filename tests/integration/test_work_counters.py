@@ -5,7 +5,9 @@ carries them down the MDS path, and closed-loop clients are reply
 callbacks rather than coroutines.  Call counts under ``cProfile`` do not
 depend on the host, so these guards fail as soon as a change adds a hop
 back: a second path resolution, a per-op frag lookup, or a client
-coroutine resume.
+coroutine resume.  A ceiling on all calls per op into ``repro`` covers
+the four golden scenario shapes, so a change that adds work anywhere on
+the op path (an unconditional observer call, say) fails here.
 """
 
 from __future__ import annotations
@@ -16,10 +18,26 @@ import pstats
 
 import pytest
 
+import repro
 from repro.cluster import SimulatedCluster
 from repro.config import ClusterConfig
 from repro.core.policies import STOCK_POLICIES
+from repro.namespace.dirfrag import name_hash
+from repro.namespace.tree import dirname_of, parent_and_leaf, split_path
 from repro.workloads import CreateWorkload
+from tests.integration.test_golden_digests import scenario
+
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+#: Python 3.12 inlines these (PEP 709), so they are frames only before it.
+INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+#: Calls per op into ``repro`` for each golden scenario shape: the count
+#: recorded when the ceiling was set, plus 2%.
+CALLS_PER_OP_CEILING = {
+    "create_shared": 64.00 * 1.02,
+    "zipf_read": 61.21 * 1.02,
+    "compile": 72.91 * 1.02,
+    "scale20": 205.42 * 1.02,
+}
 
 
 def profiled_run(policy: str | None):
@@ -70,3 +88,32 @@ def test_client_ops_resume_no_coroutines():
     calls, cluster, ops = profiled_run(None)
     assert sum(client.ops_completed for client in cluster.clients) == ops
     assert calls.get(("sim/engine.py", "_resume"), 0) == 0
+
+
+def repro_calls_per_op(name: str) -> float:
+    """Calls per op into functions under ``repro`` for one scenario run,
+    from cold path caches (a warm cache skips calls)."""
+    config, workload, policy = scenario(name)
+    cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
+    for cached in (name_hash, split_path, parent_and_leaf, dirname_of):
+        cached.cache_clear()
+    profile = cProfile.Profile()
+    profile.enable()
+    cluster.run_workload(workload)
+    profile.disable()
+    calls = sum(
+        stats[1]
+        for (filename, _line, func), stats in pstats.Stats(profile).stats.items()
+        if filename.startswith(REPRO_DIR) and func not in INLINED_FRAMES
+    )
+    return calls / workload.total_ops()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
+def test_calls_per_op_stay_under_ceiling(name):
+    assert repro_calls_per_op(name) <= CALLS_PER_OP_CEILING[name]
+
+
+if __name__ == "__main__":
+    for shape in sorted(CALLS_PER_OP_CEILING):
+        print(f"{shape}: {repro_calls_per_op(shape):.2f} calls/op")

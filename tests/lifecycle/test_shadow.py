@@ -7,7 +7,7 @@ and independent of workload dynamics.
 
 from repro.core.api import MantlePolicy
 from repro.core.balancer import BalanceDecision
-from repro.lifecycle import ShadowEvaluator
+from repro.lifecycle import ShadowEvaluator, shadow_summary
 
 
 def counters(**values):
@@ -54,13 +54,13 @@ class TestDivergence:
         assert tick.shadow_targets == {1: 10.0}
         assert tick.target_deltas == {1: 10.0}
         assert tick.diverged
-        assert shadow.divergences == 1
+        assert shadow_summary("shadow-spill", [tick])["divergences"] == 1
 
     def test_agreement_is_not_a_divergence(self):
         shadow = ShadowEvaluator(MantlePolicy(name="idle", when="go = false"))
         tick = shadow.observe(1.0, 0, live(went=False), inputs([20.0, 0.0]))
         assert not tick.shadow_went and not tick.diverged
-        assert shadow.divergences == 0
+        assert shadow_summary("idle", [tick])["divergences"] == 0
 
     def test_target_deltas_against_live_targets(self):
         shadow = ShadowEvaluator(spill_policy())
@@ -87,7 +87,7 @@ class TestErrorsAndSkips:
                               inputs([20.0, 0.0]))
         assert tick.error
         assert tick.diverged  # live went, candidate could not even decide
-        assert shadow.errors == 1
+        assert shadow_summary("broken", [tick])["errors"] == 1
 
     def test_skipped_live_tick_skips_the_shadow_too(self):
         shadow = ShadowEvaluator(spill_policy())
@@ -99,11 +99,13 @@ class TestErrorsAndSkips:
 class TestSummary:
     def test_summary_counts(self):
         shadow = ShadowEvaluator(spill_policy())
-        shadow.observe(1.0, 0, live(skipped="single MDS"), None)
-        shadow.observe(2.0, 0, live(went=False), inputs([20.0, 0.0]))
-        shadow.observe(3.0, 0, live(went=True, targets={1: 2.0}),
-                       inputs([2.0, 0.0]))
-        summary = shadow.summary()
+        ticks = [
+            shadow.observe(1.0, 0, live(skipped="single MDS"), None),
+            shadow.observe(2.0, 0, live(went=False), inputs([20.0, 0.0])),
+            shadow.observe(3.0, 0, live(went=True, targets={1: 2.0}),
+                           inputs([2.0, 0.0])),
+        ]
+        summary = shadow_summary(shadow.policy.name, ticks)
         assert summary == {
             "policy": "shadow-spill",
             "ticks": 3,
