@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..metrics.collectors import ClusterMetrics
 from ..namespace.dirfrag import name_hash
-from ..namespace.tree import dirname_of, split_path
+from ..namespace.tree import split_path
 from ..sim.engine import SimEngine
 from ..sim.network import Network
-from .ops import MetaReply, MetaRequest, OpKind
+from .ops import MetaReply, MetaRequest, OpKind, parse_op_path
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mds.server import MdsServer
@@ -38,12 +38,12 @@ class PendingOp:
     the client.
     """
 
-    __slots__ = ("client", "path", "issued_at", "done")
+    __slots__ = ("client", "dir_path", "issued_at", "done")
 
-    def __init__(self, client: "Client", path: str,
+    def __init__(self, client: "Client", dir_path: str,
                  issued_at: float) -> None:
         self.client = client
-        self.path = path
+        self.dir_path = dir_path
         self.issued_at = issued_at
         self.done = False
 
@@ -124,7 +124,7 @@ class Client:
             self.errors += 1
         if self.metrics.trace is not None:
             self.metrics.trace(self.engine.now, self.client_id, reply)
-        self._learn(pending.path, reply)
+        self._learn(pending.dir_path, reply)
         if self.think_time > 0:
             self.engine.schedule(self.think_time, self._next_op)
         else:
@@ -140,14 +140,26 @@ class Client:
     # -- request issue ------------------------------------------------------
     def _issue(self, kind: OpKind, path: str,
                dst: str | None = None) -> PendingOp:
-        """Send one request; the returned op receives the reply."""
+        """Send one request; the returned op receives the reply.
+
+        The path is parsed here, once per op, and travels with the
+        request; the result always equals
+        :func:`~repro.clients.ops.parse_op_path`'s.
+        """
         issued_at = self.engine.now
+        if (kind is not OpKind.READDIR and path[:1] == "/"
+                and path[-1:] != "/" and "//" not in path):
+            # Already normal: the last "/" separates directory and leaf.
+            dir_path, leaf = path.rsplit("/", 1)
+            if not dir_path:
+                dir_path = "/"
+        else:
+            dir_path, leaf = parse_op_path(kind, path)
         req = MetaRequest(kind=kind, path=path, client_id=self.client_id,
-                          issued_at=issued_at)
-        if dst is not None:
-            req.payload["dst"] = dst
-        pending = PendingOp(self, path, issued_at)
-        rank = self._guess(path, kind)
+                          issued_at=issued_at, dst=dst, dir_path=dir_path,
+                          leaf=leaf)
+        pending = PendingOp(self, dir_path, issued_at)
+        rank = self._guess(req)
         # _cap_switch_delay's common case (feature off / same rank) inlined;
         # the method re-does the _last_rank swap, so undo it before calling.
         previous = self._last_rank
@@ -157,7 +169,7 @@ class Client:
             delay = 0.0
         else:
             self._last_rank = previous
-            delay = self._cap_switch_delay(path, kind, rank)
+            delay = self._cap_switch_delay(req, rank)
         if delay > 0:
             self.engine.schedule(
                 delay, self.network.deliver,
@@ -168,7 +180,7 @@ class Client:
                                  pending)
         return pending
 
-    def _cap_switch_delay(self, path: str, kind: OpKind, rank: int) -> float:
+    def _cap_switch_delay(self, req: MetaRequest, rank: int) -> float:
         """Cap revalidation when consecutive requests alternate ranks.
 
         Exclusive capabilities on *unshared* directories must be handed
@@ -180,32 +192,31 @@ class Client:
         if (self.cap_switch_time <= 0 or previous is None
                 or previous == rank):
             return 0.0
-        frag_map = self.frag_maps.get(self._dir_of(path, kind))
+        frag_map = self.frag_maps.get(req.dir_path)
         if frag_map and len({r for _b, _v, r in frag_map}) > 1:
             return 0.0  # shared directory: caps already degraded
         self.cap_switches += 1
         return self.cap_switch_time
 
     # -- the client-side subtree map ----------------------------------------
-    def _dir_of(self, path: str, kind: OpKind) -> str:
-        if kind is OpKind.READDIR:
-            return path.rstrip("/") or "/"
-        return dirname_of(path)
-
-    def _guess(self, path: str, kind: OpKind) -> int:
+    def _guess(self, req: MetaRequest) -> int:
         """Route via the cached fragtree if known, else the most specific
-        subtree mapping along the path, else rank 0."""
-        if kind is OpKind.READDIR:
-            directory = path.rstrip("/") or "/"
-        else:
-            directory = dirname_of(path)
-        if kind is not OpKind.READDIR:
+        subtree mapping along the path, else rank 0.
+
+        Hashes the leaf only against a split fragtree, and leaves the
+        hash on the request for the MDS.
+        """
+        directory = req.dir_path
+        if req.kind is not OpKind.READDIR:
             frag_map = self.frag_maps.get(directory)
             if frag_map:
-                parts = split_path(path)
-                leaf = parts[-1] if parts else ""
-                hashed = name_hash(leaf)
+                hashed = req.leaf_hash
                 for bits, value, rank in frag_map:
+                    if not bits:
+                        return rank  # the unsplit frag holds every name
+                    if hashed is None:
+                        # The root has no leaf and hashes as "".
+                        hashed = req.leaf_hash = name_hash(req.leaf or "")
                     if (hashed & ((1 << bits) - 1)) == value:
                         return rank
         parts = split_path(directory)
@@ -216,12 +227,8 @@ class Client:
                 return rank
         return 0
 
-    def _learn(self, path: str, reply: MetaReply) -> None:
-        if reply.kind is OpKind.READDIR:
-            directory = path.rstrip("/") or "/"
-        else:
-            directory = dirname_of(path)
-        self.mds_map[directory] = reply.served_by
+    def _learn(self, dir_path: str, reply: MetaReply) -> None:
+        self.mds_map[dir_path] = reply.served_by
         if reply.dir_path is not None and reply.frag_map is not None:
             self.frag_maps[reply.dir_path] = reply.frag_map
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
+from ..namespace.tree import dir_and_leaf
+
 
 class OpKind(str, Enum):
     """The namespace operations the simulated clients issue."""
@@ -43,6 +45,19 @@ COUNTER_KIND = {
 }
 
 
+def parse_op_path(kind: OpKind, path: str) -> tuple[str, Optional[str]]:
+    """``(directory path, leaf)`` an op on *path* addresses.
+
+    READDIR addresses the directory itself (``path.rstrip("/") or "/"``,
+    no leaf); every other op addresses its containing directory and last
+    component, and the root has no leaf.  ``Client._issue`` splits
+    already-normal paths itself and calls this for every other spelling.
+    """
+    if kind is OpKind.READDIR:
+        return path.rstrip("/") or "/", None
+    return dir_and_leaf(path)
+
+
 _REQ_IDS = itertools.count(1)
 
 
@@ -57,7 +72,16 @@ class MetaRequest:
     #: Ranks that already handled (and forwarded) this request.
     hops: list[int] = field(default_factory=list)
     issued_at: float = 0.0
-    payload: dict[str, Any] = field(default_factory=dict)
+    #: Rename destination (None for every other op).
+    dst: Optional[str] = None
+    #: The path, parsed once by the client (see :func:`parse_op_path`):
+    #: the directory the op addresses, the leaf name in it (None for
+    #: READDIR and the root) and the leaf's ``name_hash`` (None until
+    #: someone needed it).  ``dir_path`` None means unparsed; the MDS
+    #: parses such a request on first routing.
+    dir_path: Optional[str] = None
+    leaf: Optional[str] = None
+    leaf_hash: Optional[int] = None
     #: ``(parent directory, leaf name, dirfrag)`` the MDS resolved for
     #: this request (None: the path does not resolve), valid while the
     #: namespace tree epoch and the global authority epoch still equal

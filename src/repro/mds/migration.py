@@ -227,6 +227,12 @@ class Migrator:
                             + config.migration_per_inode * inodes)
                 yield engine.timeout(transfer)
                 record.phase = "import-log"
+                if not importer.alive:
+                    # A down importer cannot journal EImport, so the
+                    # commit point is never reached.  (The balancer may
+                    # pick a rank that died inside the beacon grace.)
+                    raise MigrationAborted(
+                        f"importer mds{target_rank} is down")
                 yield importer.journal.log_sync(
                     "EImport",
                     size=config.migration_inode_bytes * max(1, inodes),

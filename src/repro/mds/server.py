@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaReply, MetaRequest,
-                           OpKind)
+                           OpKind, parse_op_path)
 from ..config import ClusterConfig
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
 from ..namespace.counters import LoadCounters
 from ..namespace.directory import Directory
-from ..namespace.dirfrag import _AUTH_EPOCH, DirFrag
-from ..namespace.tree import Namespace, parent_and_leaf
+from ..namespace.dirfrag import _AUTH_EPOCH, DirFrag, name_hash
+from ..namespace.tree import Namespace
 from ..rados.cluster import RadosCluster
 from ..rados.journal import MdsJournal
 from ..sim.engine import Completion, SimEngine
@@ -177,23 +177,25 @@ class MdsServer:
         auth_epoch = _AUTH_EPOCH[0]
         if req.tree_epoch == tree_epoch and req.auth_epoch == auth_epoch:
             return req.route
-        leaf = None
+        dir_path = req.dir_path
+        if dir_path is None:
+            dir_path, req.leaf = parse_op_path(req.kind, req.path)
+            req.dir_path = dir_path
+        leaf = req.leaf
         try:
-            if req.kind is OpKind.READDIR:
-                parent = self.namespace.resolve_dir(req.path)
-            else:
-                split = parent_and_leaf(req.path)
-                if split is None:
-                    parent = self.namespace.root
-                else:
-                    parent = self.namespace.resolve_dir(split[0])
-                    leaf = split[1]
+            parent = self.namespace.resolve_dir(dir_path)
         except (FileNotFoundError, NotADirectoryError):
             route = None
         else:
-            route = (parent, leaf,
-                     parent.frag_for_name(leaf) if leaf is not None
-                     else next(iter(parent.frags.values())))
+            frags = parent.frags
+            if leaf is None:
+                frag = next(iter(frags.values()))
+            else:
+                if req.leaf_hash is None and len(frags) > 1:
+                    # Hash a split directory's leaf once per request.
+                    req.leaf_hash = name_hash(leaf)
+                frag = parent.frag_for_name(leaf, req.leaf_hash)
+            route = (parent, leaf, frag)
         req.route = route
         req.tree_epoch = tree_epoch
         req.auth_epoch = auth_epoch
@@ -338,7 +340,8 @@ class MdsServer:
         if req.auth_epoch != _AUTH_EPOCH[0]:
             # A split or migration during the RADOS fetch or prefix
             # traversal may have retired the carried dirfrag.
-            frag = (parent.frag_for_name(leaf) if leaf is not None
+            frag = (parent.frag_for_name(leaf, req.leaf_hash)
+                    if leaf is not None
                     else next(iter(parent.frags.values())))
         result = None
         try:
@@ -353,7 +356,8 @@ class MdsServer:
                     existing.size = 0
                     self.cache.touch(existing.ino)
                 else:
-                    inode = self.namespace.create_in(frag, leaf, now=now)
+                    inode = self.namespace.create_in(frag, leaf, now=now,
+                                                     hashed=req.leaf_hash)
                     self.cache.insert(inode.ino)
                 self.journal.log("create")
                 self._maybe_store(parent, frag, now)
@@ -365,7 +369,7 @@ class MdsServer:
                 self.namespace.unlink(req.path, now=now)
                 self.journal.log("unlink")
             elif kind is OpKind.RENAME:
-                dst = req.payload.get("dst")
+                dst = req.dst
                 if not dst:
                     self._reply(req, done, error="EINVAL")
                     return
@@ -474,19 +478,10 @@ class MdsServer:
             dir_path = parent.path()
             frag_map = parent.frag_map()
         hops = len(req.hops)
-        reply = MetaReply(
-            req_id=req.req_id,
-            kind=req.kind,
-            path=req.path,
-            served_by=self.rank,
-            forwards=hops - 1 if hops > 1 else 0,
-            latency=self.engine.now - req.issued_at,
-            result=result,
-            error=error,
-            dst=req.payload.get("dst"),
-            dir_path=dir_path,
-            frag_map=frag_map,
-        )
+        reply = MetaReply(req.req_id, req.kind, req.path, self.rank,
+                          hops - 1 if hops > 1 else 0,
+                          self.engine.now - req.issued_at, result, error,
+                          req.dst, dir_path, frag_map)
         if not done.done:
             self.network.deliver(done.succeed, reply)
 

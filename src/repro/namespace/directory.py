@@ -163,7 +163,10 @@ class Directory:
         self._spread_cache = (epoch, spread)
         return spread
 
-    def frag_for_name(self, name: str) -> DirFrag:
+    def frag_for_name(self, name: str,
+                      hashed: Optional[int] = None) -> DirFrag:
+        """The dirfrag holding *name*; *hashed* is its ``name_hash`` when
+        the caller already has it (requests carry their leaf's hash)."""
         # The single-frag case (no fragmentation yet) needs no hash at
         # all; uniformly-split directories resolve with one masked dict
         # lookup instead of a linear scan.  fragment() needs no explicit
@@ -175,11 +178,12 @@ class Directory:
         kind = cached[1]
         if kind == 1:
             return cached[2]
+        if hashed is None:
+            hashed = name_hash(name)
         if kind == 2:
-            frag = cached[2].get(name_hash(name) & cached[3])
+            frag = cached[2].get(hashed & cached[3])
             if frag is not None:
                 return frag
-        hashed = name_hash(name)
         for frag in self.frags.values():
             if frag.frag_id.contains(hashed):
                 return frag
@@ -256,15 +260,17 @@ class Directory:
     def lookup(self, name: str) -> Optional[Inode]:
         return self.frag_for_name(name).get(name)
 
-    def link(self, inode: Inode, frag: DirFrag | None = None) -> None:
+    def link(self, inode: Inode, frag: DirFrag | None = None,
+             hashed: Optional[int] = None) -> None:
         """Add *inode* as an entry of this directory, in *frag* when the
-        caller already resolved the dirfrag its name hashes to."""
+        caller already resolved the dirfrag its name hashes to (and
+        *hashed*, the name's hash, when it has that too)."""
         if frag is None:
             frag = self.frag_for_name(inode.name)
         if inode.name in frag.entries:
             raise FileExistsError(f"{self.path()}/{inode.name} exists")
         inode.parent = self
-        frag.add(inode)
+        frag.add(inode, hashed)
 
     def unlink(self, name: str) -> Inode:
         frag = self.frag_for_name(name)

@@ -9,7 +9,6 @@ is hot (paper §2, "Partitioning the Namespace").
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .counters import LoadCounters
@@ -32,7 +31,6 @@ def bump_auth_epoch() -> None:
     _AUTH_EPOCH[0] += 1
 
 
-@lru_cache(maxsize=262144)
 def name_hash(name: str) -> int:
     """Stable 32-bit hash used for frag placement."""
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
@@ -119,11 +117,16 @@ class DirFrag:
     def contains_name(self, name: str) -> bool:
         return self.frag_id.contains(name_hash(name))
 
-    def add(self, inode: Inode) -> None:
-        if not self.contains_name(inode.name):
-            raise ValueError(
-                f"{inode.name!r} does not hash into frag {self.frag_id!r}"
-            )
+    def add(self, inode: Inode, hashed: Optional[int] = None) -> None:
+        """Add *inode*; *hashed* is its name's ``name_hash`` if known.
+        The unsplit frag holds every name, so it checks no hash."""
+        if self.frag_id.bits:
+            if hashed is None:
+                hashed = name_hash(inode.name)
+            if not self.frag_id.contains(hashed):
+                raise ValueError(
+                    f"{inode.name!r} does not hash into frag {self.frag_id!r}"
+                )
         self.entries[inode.name] = inode
 
     def remove(self, name: str) -> Inode:

@@ -10,7 +10,6 @@ on the wrong rank.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .counters import DEFAULT_HALF_LIFE, _MIN_DECAY_RATIO
@@ -19,31 +18,24 @@ from .dirfrag import DirFrag, bump_auth_epoch
 from .inode import Inode
 
 
-@lru_cache(maxsize=262144)
 def split_path(path: str) -> tuple[str, ...]:
     """Normalize ``/a//b/`` -> ``('a', 'b')``.
 
-    Returns a (cached, immutable) tuple: request paths are re-split several
-    times on their way through a client and an MDS, so memoizing the split
-    is one of the hottest wins in the whole simulator.
+    Not memoized: a request's path is parsed once, by the client that
+    issues it, and travels with the request (``MetaRequest.dir_path``,
+    ``leaf``), so the per-op chain does not split it again.
     """
     return tuple(filter(None, path.split("/")))
 
 
-@lru_cache(maxsize=262144)
-def parent_and_leaf(path: str) -> Optional[tuple[str, str]]:
-    """``(parent path, leaf name)`` for *path*, or None for the root."""
+def dir_and_leaf(path: str) -> tuple[str, Optional[str]]:
+    """``(absolute path of the containing directory, leaf name)`` for
+    *path* in any spelling (``a//b/`` -> ``("/a", "b")``); the root is
+    ``("/", None)``."""
     parts = split_path(path)
     if not parts:
-        return None
-    return "/".join(parts[:-1]), parts[-1]
-
-
-@lru_cache(maxsize=262144)
-def dirname_of(path: str) -> str:
-    """Absolute path of the directory containing *path* (``/`` for roots)."""
-    parts = split_path(path)
-    return "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
+        return "/", None
+    return "/" + "/".join(parts[:-1]), parts[-1]
 
 
 class Namespace:
@@ -159,13 +151,15 @@ class Namespace:
                               mode=mode, size=size)
 
     def create_in(self, frag: DirFrag, name: str, now: float = 0.0,
-                  mode: int = 0o644, size: int = 0) -> Inode:
+                  mode: int = 0o644, size: int = 0,
+                  hashed: Optional[int] = None) -> Inode:
         """Create file *name* in *frag*, the dirfrag its name hashes to
-        (the MDS request path already resolved it)."""
+        (the MDS request path already resolved it, and may carry the
+        name's hash as *hashed*)."""
         inode = Inode(name=name, is_dir=False, mode=mode, size=size,
                       ctime=now, mtime=now, atime=now,
                       ino=next(self._ino_counter))
-        frag.directory.link(inode, frag)
+        frag.directory.link(inode, frag, hashed)
         self.inode_count += 1
         return inode
 

@@ -5,7 +5,7 @@ import pytest
 from repro.clients.client import Client
 from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster
-from tests.conftest import make_config
+from tests.conftest import make_config, parsed_request
 
 
 def run_client(cluster, ops, client_id=0, pipeline=1):
@@ -107,21 +107,25 @@ class TestLearning:
                         cluster.metrics, iter([]))
         client.mds_map["/"] = 0
         client.mds_map["/a/b"] = 1
-        assert client._guess("/a/b/file", OpKind.CREATE) == 1
-        assert client._guess("/a/other", OpKind.CREATE) == 0
+        assert client._guess(
+            parsed_request(OpKind.CREATE, "/a/b/file")) == 1
+        assert client._guess(
+            parsed_request(OpKind.CREATE, "/a/other")) == 0
 
     def test_guess_defaults_to_rank0(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         client = Client(cluster.engine, 0, cluster.network, cluster.mdss,
                         cluster.metrics, iter([]))
-        assert client._guess("/anything", OpKind.CREATE) == 0
+        assert client._guess(
+            parsed_request(OpKind.CREATE, "/anything")) == 0
 
     def test_readdir_maps_on_directory_itself(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         client = Client(cluster.engine, 0, cluster.network, cluster.mdss,
                         cluster.metrics, iter([]))
         client.mds_map["/d"] = 1
-        assert client._guess("/d", OpKind.READDIR) == 1
+        assert client._guess(
+            parsed_request(OpKind.READDIR, "/d")) == 1
 
 
 class TestStartDelay:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clients.ops import MetaRequest, parse_op_path
 from repro.config import ClusterConfig
 
 
@@ -40,3 +41,10 @@ def make_config(**overrides) -> ClusterConfig:
     )
     base.update(overrides)
     return ClusterConfig(**base)
+
+
+def parsed_request(kind, path) -> MetaRequest:
+    """A request parsed the way ``Client._issue`` parses it."""
+    dir_path, leaf = parse_op_path(kind, path)
+    return MetaRequest(kind=kind, path=path, client_id=0,
+                       dir_path=dir_path, leaf=leaf)

@@ -22,8 +22,6 @@ import repro
 from repro.cluster import SimulatedCluster
 from repro.config import ClusterConfig
 from repro.core.policies import STOCK_POLICIES
-from repro.namespace.dirfrag import name_hash
-from repro.namespace.tree import dirname_of, parent_and_leaf, split_path
 from repro.workloads import CreateWorkload
 from tests.integration.test_golden_digests import scenario
 
@@ -77,6 +75,21 @@ def test_each_op_resolves_its_path_and_dirfrag_once(balanced_run):
     assert calls[("namespace/tree.py", "resolve_dir")] / ops <= 1.1
 
 
+def test_create_parses_each_path_once(balanced_run):
+    calls, cluster, ops = balanced_run
+    # The client splits an op's path once (inline for normal paths) and
+    # carries it; split_path runs only for the namespace's own walks.
+    parses = sum(calls.get(("namespace/tree.py", func), 0)
+                 for func in ("split_path", "dir_and_leaf"))
+    parses += calls.get(("clients/ops.py", "parse_op_path"), 0)
+    assert parses <= ops
+    # The client hashes a leaf against a split fragtree, or the MDS hashes
+    # it against a split directory -- once, carried from then on; the one
+    # split rehashes the directory's entries on top.
+    rehashed = cluster.config.dir_split_size
+    assert calls[("namespace/dirfrag.py", "name_hash")] <= ops + rehashed
+
+
 def test_only_migrations_run_as_processes(balanced_run):
     calls, cluster, _ops = balanced_run
     exports = sum(mds.migrator.exports_started for mds in cluster.mdss)
@@ -91,12 +104,9 @@ def test_client_ops_resume_no_coroutines():
 
 
 def repro_calls_per_op(name: str) -> float:
-    """Calls per op into functions under ``repro`` for one scenario run,
-    from cold path caches (a warm cache skips calls)."""
+    """Calls per op into functions under ``repro`` for one scenario run."""
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
-    for cached in (name_hash, split_path, parent_and_leaf, dirname_of):
-        cached.cache_clear()
     profile = cProfile.Profile()
     profile.enable()
     cluster.run_workload(workload)

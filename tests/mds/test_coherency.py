@@ -6,7 +6,7 @@ import pytest
 from repro.clients.client import Client
 from repro.clients.ops import MetaRequest, OpKind
 from repro.cluster import SimulatedCluster
-from tests.conftest import make_config
+from tests.conftest import make_config, parsed_request
 
 
 def build(num_mds=2, **overrides):
@@ -140,20 +140,23 @@ class TestClientCapSwitching:
     def test_first_request_free(self):
         cluster, _d = build(num_mds=2)
         client = self.make_client(cluster)
-        assert client._cap_switch_delay("/d/f0", OpKind.STAT, 0) == 0.0
+        assert client._cap_switch_delay(
+            parsed_request(OpKind.STAT, "/d/f0"), 0) == 0.0
 
     def test_same_rank_free(self):
         cluster, _d = build(num_mds=2)
         client = self.make_client(cluster)
-        client._cap_switch_delay("/d/f0", OpKind.STAT, 0)
-        assert client._cap_switch_delay("/d/f1", OpKind.STAT, 0) == 0.0
+        client._cap_switch_delay(parsed_request(OpKind.STAT, "/d/f0"), 0)
+        assert client._cap_switch_delay(
+            parsed_request(OpKind.STAT, "/d/f1"), 0) == 0.0
         assert client.cap_switches == 0
 
     def test_rank_switch_on_unshared_dir_costs(self):
         cluster, _d = build(num_mds=2)
         client = self.make_client(cluster)
-        client._cap_switch_delay("/d/f0", OpKind.STAT, 0)
-        delay = client._cap_switch_delay("/d/f1", OpKind.STAT, 1)
+        client._cap_switch_delay(parsed_request(OpKind.STAT, "/d/f0"), 0)
+        delay = client._cap_switch_delay(
+            parsed_request(OpKind.STAT, "/d/f1"), 1)
         assert delay == 0.001
         assert client.cap_switches == 1
 
@@ -162,15 +165,17 @@ class TestClientCapSwitching:
         client = self.make_client(cluster)
         # Client knows /d is spread over two ranks.
         client.frag_maps["/d"] = ((1, 0, 0), (1, 1, 1))
-        client._cap_switch_delay("/d/f0", OpKind.STAT, 0)
-        assert client._cap_switch_delay("/d/f1", OpKind.STAT, 1) == 0.0
+        client._cap_switch_delay(parsed_request(OpKind.STAT, "/d/f0"), 0)
+        assert client._cap_switch_delay(
+            parsed_request(OpKind.STAT, "/d/f1"), 1) == 0.0
         assert client.cap_switches == 0
 
     def test_disabled_when_zero(self):
         cluster, _d = build(num_mds=2)
         client = self.make_client(cluster, switch_time=0.0)
-        client._cap_switch_delay("/d/f0", OpKind.STAT, 0)
-        assert client._cap_switch_delay("/d/f1", OpKind.STAT, 1) == 0.0
+        client._cap_switch_delay(parsed_request(OpKind.STAT, "/d/f0"), 0)
+        assert client._cap_switch_delay(
+            parsed_request(OpKind.STAT, "/d/f1"), 1) == 0.0
 
 
 class TestPrefixTraversals:

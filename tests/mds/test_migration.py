@@ -151,3 +151,20 @@ class TestMigrator:
         process = cluster.mdss[0].migrator.export(ExportUnit(d), 1)
         cluster.engine.run_until_complete(process.completion)
         assert cluster.mdss[0].migrator.inodes_exported == 22
+
+    def test_export_to_crashed_rank_rolls_back(self):
+        # The balancer can still pick a rank that died inside the beacon
+        # grace; the export must not hand that rank authority.
+        cluster = build_cluster()
+        d = cluster.namespace.resolve_dir("/d")
+        d.fragment(extra_bits=1)
+        frag = next(iter(d.frags.values()))
+        exporter = cluster.mdss[0]
+        cluster.mdss[1].crash()
+        process = exporter.migrator.export(ExportUnit(frag), 1)
+        cluster.engine.run_until_complete(process.completion)
+        assert frag.authority() == 0
+        assert all(f.authority() == 0 for f in d.frags.values())
+        assert not any(f.frozen for f in d.frags.values())
+        assert exporter.migrator.exports_aborted == 1
+        assert exporter.migrator.exports_completed == 0

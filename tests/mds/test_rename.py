@@ -13,7 +13,7 @@ def issue(cluster, kind, path, rank=0, dst=None):
     req = MetaRequest(kind=kind, path=path, client_id=0,
                       issued_at=cluster.engine.now)
     if dst is not None:
-        req.payload["dst"] = dst
+        req.dst = dst
     done = cluster.engine.completion()
     cluster.network.deliver(cluster.mdss[rank].receive_request, req, done)
     return cluster.engine.run_until_complete(done)
