@@ -33,8 +33,7 @@ def run_grid():
                               files_per_client=FILES_PER_CLIENT,
                               shared_dir=True)
 
-    # All seven cells share one namespace build; the three 4-MDS policy
-    # cells additionally share their pre-heartbeat simulation prefix.
+    # The four 4-MDS cells share their pre-heartbeat simulation prefix.
     return run_cells([
         ("1 MDS (baseline)",
          base_config(num_mds=1, num_clients=CLIENTS), workload, None),

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from ..dataclass import dataclass
 from ..core.environment import MDS_METRIC_KEYS
 from ..luapolicy import lua_ast as ast
 from ..namespace.counters import OP_KINDS

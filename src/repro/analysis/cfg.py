@@ -10,9 +10,10 @@ substrate for the reaching-definitions and liveness passes in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from ..dataclass import dataclass
 from ..luapolicy import lua_ast as ast
 
 

@@ -9,8 +9,10 @@ full prose catalogue with examples lives in ``docs/ANALYSIS.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
+
+from ..dataclass import dataclass
 
 #: rule id -> (slug, severity).  Severities: ``error`` blocks injection
 #: (unless explicitly bypassed), ``warning`` is advisory.

@@ -330,10 +330,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     cache = open_cache(enabled=not args.no_cache)
     records, hits, misses = run_sweep_cached(
-        specs, jobs=args.jobs, warm=not args.cold, cache=cache)
+        specs, jobs=args.jobs, cache=cache)
     sys.stdout.write(format_report(records))
     # The footer goes to stderr: stdout stays byte-identical across
-    # cold/warm/cached runs (the CI determinism check diffs stdout).
+    # fresh and cached runs at any --jobs (CI diffs it against
+    # examples/expected/sweep.txt).
     if cache is not None:
         print(f"cache: {hits} hit{'s' if hits != 1 else ''}, "
               f"{misses} miss{'es' if misses != 1 else ''} "
@@ -508,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "byte-identical either way)")
     sweep.add_argument("--out", default=None, metavar="FILE",
                        help="also write per-cell records as JSON")
-    sweep.add_argument("--cold", action="store_true",
-                       help="disable fork-based warm starts; run every "
-                            "cell from scratch (results are byte-identical "
-                            "either way)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="skip the result cache (REPRO_NO_CACHE=1 "
                             "does the same)")

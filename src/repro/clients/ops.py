@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Any, Optional
 
+from ..dataclass import dataclass
 from ..namespace.tree import dir_and_leaf
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from .dataclass import dataclass
 from .analysis import DEFAULT_LINT_RANKS, LintReport, PolicyLintError, \
     lint_policy
 from .clients.client import Client, build_clients
@@ -226,10 +227,10 @@ class SimulatedCluster:
             self.engine, self.network, self.rngs,
             num_osds=config.num_osds,
         )
-        # A pre-built (possibly pre-populated) namespace may be supplied by
-        # the warm-start cell server so sibling cells share one construction
-        # pass; it must have been built by build_namespace(config) with the
-        # same namespace-relevant config fields.
+        # A pre-built (possibly pre-populated) namespace may be supplied so
+        # setup can be timed apart from construction (perfbench does); it
+        # must have been built by build_namespace(config) with the same
+        # namespace-relevant config fields.
         self.namespace = (namespace if namespace is not None
                           else self.build_namespace(config))
         self.metrics = ClusterMetrics()
@@ -298,9 +299,10 @@ class SimulatedCluster:
         Every injection is a recorded version transition in the policy
         store, with the previous version retained for rollback.  The commit
         is stamped at t=0.0 regardless of the engine clock: injection is
-        pre-run bookkeeping, and warm-started runs replay it at the fork
-        barrier rather than at construction time (see
-        :mod:`repro.lifecycle.store`).
+        pre-run bookkeeping.  The forked grid runner (:mod:`repro.perf.grid`)
+        injects policies after the shared prefix, and perfbench injects
+        after building the cluster; both must record what a policy passed
+        at construction records (see :mod:`repro.lifecycle.store`).
         """
         if lint is None:
             lint = self.lint_policies
@@ -416,8 +418,9 @@ class SimulatedCluster:
         """Stage 1 of a run: prepare, start clients/heartbeats, arm the
         completion and deadline -- everything up to executing events.
 
-        ``skip_prepare`` is for the warm-start path, whose construction
-        server already ran ``workload.prepare`` into the shared namespace.
+        ``skip_prepare`` is for callers that already ran
+        ``workload.prepare`` into the namespace they passed to the
+        constructor (perfbench, which times the two apart).
         Everything here (including the deadline event) is scheduled in the
         same order as an unsplit run, so event sequence numbers -- and
         therefore tie-breaking, and therefore results -- are identical.
@@ -464,9 +467,9 @@ class SimulatedCluster:
 
         Executes events strictly before *until* (or until the workload
         completes, whichever is first).  Must only be called with *until*
-        at or before the first policy-divergent event -- for stock
-        workloads that is the first heartbeat metaload snapshot at
-        ``config.heartbeat_interval`` (see Workload.shared_prefix_end).
+        at or before the first policy-divergent event: the first heartbeat
+        metaload snapshot at ``config.heartbeat_interval`` (see
+        :mod:`repro.perf.grid`).
         """
         if until <= 0:
             return

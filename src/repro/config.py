@@ -15,8 +15,10 @@ The calibration targets come straight from the paper's measurements of its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Any
+
+from .dataclass import dataclass
 
 
 @dataclass

@@ -17,9 +17,10 @@ paper concatenates them into one injected block), so locals discovered by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
+from ..dataclass import dataclass
 from ..luapolicy import DEFAULT_BUDGET
 from ..luapolicy.sandbox import CompiledPolicy, compile_policy
 from .environment import compile_mdsload, compile_metaload

@@ -17,9 +17,10 @@ for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
+from ..dataclass import dataclass
 from ..luapolicy.errors import LuaError
 from ..mds.migration import ExportUnit
 from ..namespace.directory import Directory

@@ -14,10 +14,12 @@ here influences the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..dataclass import dataclass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import SimReport

@@ -10,8 +10,9 @@ tests: ``big_small`` wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
+
+from ..dataclass import dataclass
 
 Unit = TypeVar("Unit")
 #: A selector takes [(unit, load)] and a target load, returns chosen units.

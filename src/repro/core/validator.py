@@ -10,8 +10,9 @@ design, taken the MDS down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from ..dataclass import dataclass
 from ..luapolicy.errors import LuaBudgetExceeded, LuaError, LuaSyntaxError
 from ..luapolicy.parser import parse_chunk
 from .api import MantlePolicy

@@ -12,8 +12,10 @@ replays identically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional, Union
+
+from ..dataclass import dataclass
 
 
 @dataclass(frozen=True)

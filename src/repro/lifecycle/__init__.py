@@ -15,7 +15,7 @@ in RADOS (§4.4); this package manages what happens after injection:
   bouncing between ranks (online ping-pong damping).
 
 Everything here derives from simulator state only, keeping runs
-bit-identical across serial, ``--jobs N`` and warm-start execution.
+bit-identical across serial, ``--jobs N`` and forked-grid execution.
 """
 
 from .canary import CanaryController

@@ -16,7 +16,7 @@ Greedy Spill scenario).  The canary controller stages the rollout instead:
 
 The controller is driven from the canary rank's own heartbeat ticks (no
 private timers), and every signal it reads is simulator state, so runs
-stay bit-identical across serial, ``--jobs N`` and warm-start execution.
+stay bit-identical across serial, ``--jobs N`` and forked-grid execution.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ window reaches the configured bounce budget.
 
 Determinism: the guard consults only the decision log it was fed (unit
 path, source, target, decision time) -- all pure simulator state -- so
-guarded runs stay bit-identical across serial, ``--jobs N`` and warm-start
+guarded runs stay bit-identical across serial, ``--jobs N`` and forked-grid
 execution.
 """
 

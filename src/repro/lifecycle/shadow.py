@@ -19,9 +19,10 @@ reuses the live tick's dicts read-only and keeps a private
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import ClassVar, Optional
 
+from ..dataclass import dataclass
 from ..core.api import MantlePolicy
 from ..core.environment import build_decision_bindings, extract_targets
 from ..core.state import BalancerState

@@ -12,8 +12,8 @@ A *rollback* never rewrites history: it commits the old version's source
 again as a new head, exactly like re-injecting the old balancer.
 
 Determinism note: commits write the RADOS payload dict directly and never
-schedule simulated I/O.  Warm-started runs replay ``set_policy`` at the
-fork barrier rather than at t=0, so a timed write here would shift the
+schedule simulated I/O.  The forked grid runner injects policies after
+the shared prefix rather than at t=0, so a timed write here would shift the
 event sequence and break bit-identity; callers therefore also pass an
 explicit *now* (0.0 for pre-run injection) instead of reading the engine
 clock.
@@ -22,9 +22,10 @@ clock.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional
 
+from ..dataclass import dataclass
 from ..core.api import MantlePolicy
 from ..core.policyfile import dump_policy, parse_policy_source
 

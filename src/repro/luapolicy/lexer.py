@@ -8,9 +8,9 @@ comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ..dataclass import dataclass
 from .errors import LuaSyntaxError
 
 KEYWORDS = frozenset(

@@ -7,8 +7,10 @@ the static analyzer's diagnostics (``repro.analysis``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Union
+
+from ..dataclass import dataclass
 
 
 @dataclass(frozen=True)

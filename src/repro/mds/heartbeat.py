@@ -9,7 +9,9 @@ non-reproducible balancing (§2.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from ..dataclass import dataclass
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,9 @@ is a big part of why migration can cost more than parallelism buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from ..dataclass import dataclass
 
 
 @dataclass

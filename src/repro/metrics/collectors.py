@@ -8,10 +8,12 @@ forward counts (Fig 3), and session-flush counts (§4.1).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Optional
 
 import numpy as np
+
+from ..dataclass import dataclass
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ..dataclass import dataclass
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ to compare strategies "on the same storage system".
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..dataclass import dataclass
 from ..clients.ops import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -9,7 +9,9 @@ decays lazily on read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from ..dataclass import dataclass
 
 #: Op kinds tracked per dirfrag/directory -- exactly the metrics the Mantle
 #: environment exposes to load formulas (paper Table 2).

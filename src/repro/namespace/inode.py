@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
+
+from ..dataclass import dataclass
 
 _INO_COUNTER = itertools.count(1)
 

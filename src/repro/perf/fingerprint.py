@@ -13,7 +13,7 @@ simulation's output* is unchanged.  That closure is:
   editing a balancer policy -- even its Lua body -- is a cache miss.
 
 Fingerprints are hex sha256 digests; they never hash live objects, only
-their canonical serialised forms, so cold/warm/forked paths agree.
+their canonical serialised forms, so cold and forked paths agree.
 """
 
 from __future__ import annotations

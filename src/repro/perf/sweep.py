@@ -1,22 +1,26 @@
 """Parallel (seed x policy) sweep runner.
 
-Every sweep cell is one fully independent :func:`run_experiment` -- its own
-cluster, its own RNG streams seeded from the cell's seed -- so running
-cells in worker processes cannot change any cell's result.  The merged
-report is ordered by the spec list, never by completion time, which makes
-``--jobs N`` output byte-identical to ``--jobs 1``.
+Every sweep cell is one fully independent run -- its own cluster, its own
+RNG streams seeded from the cell's seed -- so running cells in separate
+processes, or forking cells that differ only in policy off a shared
+pre-balancer prefix (:mod:`repro.perf.grid`), cannot change any cell's
+result.  The merged report is ordered by the spec list, never by
+completion time, which makes ``--jobs N`` output byte-identical to
+``--jobs 1``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Any
 
+from ..dataclass import dataclass
 from ..cluster import SimulatedCluster
 from ..config import ClusterConfig
 from ..core.policies import STOCK_POLICIES
 from ..workloads import CreateWorkload, ZipfWorkload
+from .grid import fork_supported, run_forked
 
 #: Friendly aliases: shell-safe underscore forms of the stock names.
 _POLICY_ALIASES = {
@@ -98,11 +102,7 @@ def _build_workload(spec: RunSpec):
 
 
 def spec_record(spec: RunSpec, report) -> dict[str, Any]:
-    """The plain-data record of one cell (picklable, JSON-able).
-
-    Shared by the cold and warm-start paths so both produce records that
-    compare (and serialize) byte-identically.
-    """
+    """The plain-data record of one cell (picklable, JSON-able)."""
     latency = report.latency_summary()
     canary_outcome = next(
         (event.kind.split("-", 1)[1]
@@ -137,12 +137,23 @@ def spec_record(spec: RunSpec, report) -> dict[str, Any]:
     }
 
 
-def arm_lifecycle(cluster: SimulatedCluster, spec: RunSpec) -> None:
-    """Arm a spec's shadow/canary on a freshly built cluster.
+def _policy(spec: RunSpec):
+    return (STOCK_POLICIES[spec.policy]()
+            if spec.policy != "none" else None)
 
-    Shared by the cold path and the warm-start path: both must arm from
-    the same data so their records stay byte-identical.
-    """
+
+def _cluster(spec: RunSpec, policy=None) -> SimulatedCluster:
+    config = ClusterConfig(num_mds=spec.num_mds,
+                           num_clients=spec.num_clients,
+                           seed=spec.seed,
+                           dir_split_size=spec.dir_split_size,
+                           heartbeat_interval=spec.heartbeat_interval,
+                           stability_guard=spec.guard)
+    return SimulatedCluster(config, policy=policy,
+                            lint_policies=spec.lint)
+
+
+def _arm_lifecycle(cluster: SimulatedCluster, spec: RunSpec) -> None:
     if spec.shadow_policy != "none":
         cluster.arm_shadow(STOCK_POLICIES[spec.shadow_policy]())
     if spec.canary_policy != "none":
@@ -151,66 +162,73 @@ def arm_lifecycle(cluster: SimulatedCluster, spec: RunSpec) -> None:
 
 
 def execute_spec(spec: RunSpec) -> dict[str, Any]:
-    """Run one cell cold; return its record."""
-    config = ClusterConfig(num_mds=spec.num_mds,
-                           num_clients=spec.num_clients,
-                           seed=spec.seed,
-                           dir_split_size=spec.dir_split_size,
-                           heartbeat_interval=spec.heartbeat_interval,
-                           stability_guard=spec.guard)
-    policy = (STOCK_POLICIES[spec.policy]()
-              if spec.policy != "none" else None)
-    cluster = SimulatedCluster(config, policy=policy,
-                               lint_policies=spec.lint)
-    arm_lifecycle(cluster, spec)
+    """Run one cell cold, unsplit; return its record."""
+    cluster = _cluster(spec, _policy(spec))
+    _arm_lifecycle(cluster, spec)
     report = cluster.run_workload(_build_workload(spec),
                                   max_time=spec.max_time)
     return spec_record(spec, report)
 
 
-def run_sweep(specs: list[RunSpec], jobs: int = 1,
-              warm: bool = False) -> list[dict[str, Any]]:
+def _prefix_key(spec: RunSpec) -> RunSpec:
+    # Policy, shadow and canary are all applied after the shared
+    # prefix, so cells differing only in those share it.  ``guard``
+    # stays in the key: it changes cluster construction itself.
+    return replace(spec, policy="none", shadow_policy="none",
+                   canary_policy="none", canary_at=30.0, canary_window=20.0)
+
+
+def _begin(spec: RunSpec) -> SimulatedCluster:
+    cluster = _cluster(spec)
+    cluster.begin_workload(_build_workload(spec), max_time=spec.max_time)
+    return cluster
+
+
+def _finish(cluster: SimulatedCluster, spec: RunSpec) -> dict[str, Any]:
+    policy = _policy(spec)
+    if policy is not None:
+        cluster.set_policy(policy)
+    _arm_lifecycle(cluster, spec)
+    return spec_record(spec, cluster.finish_workload())
+
+
+def run_sweep(specs: list[RunSpec], jobs: int = 1) -> list[dict[str, Any]]:
     """Run all cells; results come back in spec order regardless of *jobs*.
 
-    ``jobs <= 1`` runs serially in-process.  More jobs fan the cells over a
-    ``multiprocessing`` pool; ``Pool.map`` already returns results in input
-    order, so the merge is deterministic by construction.
-
-    ``warm=True`` routes the grid through the fork-based warm-start cell
-    server (:mod:`repro.perf.warmstart`): cells share namespace
-    construction and the policy-independent simulation prefix, with
-    byte-identical records.  Falls back to the cold path where ``os.fork``
-    is unavailable or the grid has a single cell.
+    Where ``os.fork`` exists a multi-cell grid goes through the forked
+    grid runner (:mod:`repro.perf.grid`): cells that differ only in
+    policy share the simulation up to the first heartbeat, and at most
+    *jobs* simulations run at once.  Elsewhere cells run cold over a
+    ``multiprocessing`` pool, whose ``map`` keeps input order.  Records
+    are byte-identical either way.
     """
-    if warm and len(specs) > 1:
-        from .warmstart import fork_supported, run_sweep_forked
-        if fork_supported():
-            return run_sweep_forked(specs, jobs=jobs)
+    if len(specs) > 1 and fork_supported():
+        return run_forked(specs, key=_prefix_key, begin=_begin,
+                          finish=_finish, cold=execute_spec, jobs=jobs)
     if jobs <= 1 or len(specs) <= 1:
         return [execute_spec(spec) for spec in specs]
     with multiprocessing.Pool(processes=min(jobs, len(specs))) as pool:
         return pool.map(execute_spec, specs)
 
 
-def run_sweep_cached(specs: list[RunSpec], jobs: int = 1,
-                     warm: bool = False, cache=None
+def run_sweep_cached(specs: list[RunSpec], jobs: int = 1, cache=None
                      ) -> tuple[list[dict[str, Any]], int, int]:
     """``run_sweep`` behind the content-addressed result cache.
 
     Returns ``(records, hits, misses)``.  Cells whose fingerprint (sources
     + config + policy text + seed, see :mod:`repro.perf.fingerprint`) has
     a stored record skip simulation entirely; the rest run through
-    ``run_sweep`` (warm or cold) and are stored for next time.  With
-    *cache* None (disabled) every cell is a miss and nothing is stored.
+    ``run_sweep`` and are stored for next time.  With *cache* None
+    (disabled) every cell is a miss and nothing is stored.
     """
     if cache is None:
-        return run_sweep(specs, jobs=jobs, warm=warm), 0, len(specs)
+        return run_sweep(specs, jobs=jobs), 0, len(specs)
     from .fingerprint import spec_fingerprint
     keys = [spec_fingerprint(spec) for spec in specs]
     records: list[dict[str, Any] | None] = [cache.get_record(key)
                                             for key in keys]
     missing = [i for i, record in enumerate(records) if record is None]
-    fresh = run_sweep([specs[i] for i in missing], jobs=jobs, warm=warm)
+    fresh = run_sweep([specs[i] for i in missing], jobs=jobs)
     for i, record in zip(missing, fresh):
         cache.put_record(keys[i], record)
         records[i] = record

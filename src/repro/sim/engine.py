@@ -379,8 +379,8 @@ class SimEngine:
         and never advances the clock past the last executed event, so a
         run split as ``run_before(t)`` + ``run_until_complete(done)``
         executes exactly the same event sequence as an unsplit
-        ``run_until_complete(done)`` -- the property the warm-start fork
-        point relies on.  When *completion* is given the loop also stops
+        ``run_until_complete(done)`` -- the property the forked grid
+        runner's shared prefix relies on.  When *completion* is given the loop also stops
         as soon as it fires (matching ``run_until_complete``, which stops
         mid-heap when its completion is done).
         """

@@ -36,48 +36,6 @@ class RngStreams:
             self._streams[name] = generator
         return generator
 
-    def state(self) -> dict[str, dict]:
-        """Snapshot every instantiated substream's bit-generator state.
-
-        The returned mapping is plain data (stream name -> the numpy
-        bit-generator state dict), so it can be hashed, compared or stored.
-        Used by the warm-start equivalence tests to assert that a shared
-        simulation prefix leaves every cell with identical RNG state, and
-        by :func:`state_fingerprint` to summarize that state.
-        """
-        return {name: generator.bit_generator.state
-                for name, generator in sorted(self._streams.items())}
-
-    def set_state(self, state: dict[str, dict]) -> None:
-        """Restore substream states captured by :meth:`state`.
-
-        Streams not yet instantiated are created first (creation is
-        deterministic in (seed, name), so this is always well-defined).
-        """
-        for name, bit_state in state.items():
-            self.stream(name).bit_generator.state = bit_state
-
-    def state_fingerprint(self) -> str:
-        """A stable hex digest of :meth:`state` (order-independent)."""
-        import hashlib
-        import json
-
-        payload = json.dumps(self.state(), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def spawn(self, name: str) -> "RngStreams":
-        """A child family, independent of this one, for a subcomponent."""
-        child = RngStreams(seed=self.seed)
-        child._prefix = name  # type: ignore[attr-defined]
-        # Implemented by prefixing stream names.
-        original_stream = child.stream
-
-        def prefixed(stream_name: str) -> np.random.Generator:
-            return original_stream(f"{name}/{stream_name}")
-
-        child.stream = prefixed  # type: ignore[method-assign]
-        return child
-
 
 class ServiceTime:
     """A service-time distribution: lognormal around a mean with given CV.

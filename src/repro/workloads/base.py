@@ -17,50 +17,12 @@ class Workload(ABC):
     ``prepare`` pre-populates the namespace with whatever must exist before
     the clients start (shared base directories, a source tree to compile) --
     the simulated equivalent of setup steps outside the measured window.
-
-    Workloads also carry *phase-boundary markers* for the warm-start cell
-    server (:mod:`repro.perf.warmstart`): which part of a run is shared
-    between grid cells that differ only in balancer policy, and which part
-    of construction is shared between cells that differ only in seed.
     """
 
     num_clients: int
 
-    #: True when the op streams are independent of balancer behaviour:
-    #: migrations and forwards change *where* and *how fast* ops are
-    #: served, never *which* ops the clients issue.  All stock workloads
-    #: qualify; a workload that adapted its ops to observed placement or
-    #: latency would have to opt out, which disables prefix sharing.
-    policy_independent_ops: bool = True
-
     def prepare(self, namespace: Namespace) -> None:
         """Pre-create setup state directly in the namespace (unmeasured)."""
-
-    def shared_prefix_end(self, config) -> float:
-        """End of the policy-independent warmup phase, in sim seconds.
-
-        Two runs of this workload that differ only in the injected Mantle
-        policy are guaranteed byte-identical for every event strictly
-        before this time.  The generic bound is the first heartbeat
-        metaload snapshot (``config.heartbeat_interval``): before it no
-        code path consults the balancer, at it the heartbeat packs
-        policy-defined metaload values.  Returns 0.0 (no shareable
-        prefix) when the op streams are policy-dependent.
-        """
-        if not self.policy_independent_ops:
-            return 0.0
-        return float(config.heartbeat_interval)
-
-    def construction_signature(self) -> tuple | None:
-        """Hashable identity of what :meth:`prepare` builds, or None.
-
-        Cells whose workloads share a signature (and whose configs share
-        the namespace-shape fields) can share one ``prepare`` pass even
-        when their cluster seeds differ -- e.g. a Zipf population build or
-        a source-tree untar is seed-independent.  ``None`` means "not
-        shareable": every cell runs its own ``prepare``.
-        """
-        return None
 
     @abstractmethod
     def client_ops(self, client_id: int) -> Iterator[WorkloadOp]:

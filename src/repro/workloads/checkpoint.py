@@ -54,11 +54,6 @@ class CheckpointWorkload(Workload):
         for round_index in range(self.rounds):
             namespace.mkdirs(self.round_dir(round_index))
 
-    def construction_signature(self) -> tuple:
-        # prepare() builds the per-round directories; chunk files are
-        # created by the clients.
-        return ("checkpoint", self.base, self.rounds)
-
     def chunk_path(self, round_index: int, client_id: int,
                    chunk: int) -> str:
         return (f"{self.round_dir(round_index)}/"

@@ -81,11 +81,6 @@ class CompileWorkload(Workload):
     def prepare(self, namespace: Namespace) -> None:
         namespace.mkdirs(self.base)
 
-    def construction_signature(self) -> tuple:
-        # Only the base directory is pre-built; the untar phase creates the
-        # tree during the run (measured, as in the paper's compile job).
-        return ("compile", self.base)
-
     def total_ops(self) -> int:
         dirs = self.tree_dirs()
         total_files = sum(files for _d, files, _w in dirs)

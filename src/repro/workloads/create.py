@@ -44,12 +44,6 @@ class CreateWorkload(Workload):
         if self.shared_dir:
             namespace.mkdirs(self.target_dir(0))
 
-    def construction_signature(self) -> tuple:
-        # prepare() builds the base (and shared) directory only; files are
-        # created by the clients, so neither the file count nor the seed
-        # matters here.
-        return ("create", self.base, self.shared_dir)
-
     def target_dir(self, client_id: int) -> str:
         if self.shared_dir:
             return f"{self.base}/shared"

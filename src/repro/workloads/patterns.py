@@ -56,12 +56,6 @@ class ZipfWorkload(Workload):
         for index in range(self.num_files):
             namespace.create(self._file_path(index))
 
-    def construction_signature(self) -> tuple:
-        # prepare() builds the directory fan-out and the file population;
-        # the seed only shapes the (lazy) op streams, so cells that differ
-        # in seed can still share one population build.
-        return ("zipf", self.base, self.num_dirs, self.num_files)
-
     def client_ops(self, client_id: int) -> Iterator[WorkloadOp]:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed,

@@ -5,8 +5,8 @@ Three properties the lifecycle machinery must not break:
 1. **Shadow passivity** -- a shadowed run's decisions and report are
    byte-identical to the unshadowed run's (minus the shadow log itself).
 2. **Canary determinism** -- a canary-rollback scenario produces
-   byte-identical records across serial, ``--jobs N`` and warm-start
-   sweep execution.
+   byte-identical records from a cold run and from the forked sweep
+   runner at any ``--jobs``.
 3. **Fingerprint coverage** -- lifecycle configuration (guard, shadow,
    canary) is part of the cell fingerprint, so a guarded run and an
    unguarded run never alias in the result cache.
@@ -22,8 +22,12 @@ from repro.core.api import MantlePolicy
 from repro.core.policies import STOCK_POLICIES, greedy_spill_policy
 from repro.perf.cache import ResultCache
 from repro.perf.fingerprint import spec_fingerprint
-from repro.perf.sweep import RunSpec, run_sweep, run_sweep_cached
-from repro.perf.warmstart import fork_supported
+from repro.perf.sweep import (
+    RunSpec,
+    execute_spec,
+    run_sweep,
+    run_sweep_cached,
+)
 from repro.workloads import CreateWorkload
 from tests.conftest import make_config
 
@@ -66,8 +70,8 @@ def broken_factory():
 def broken_stock(monkeypatch):
     """A deliberately-broken stock policy for canary candidates.
 
-    Sweep specs name policies; ``fork``-based workers (warm-start runners
-    and the multiprocessing pool on Linux) inherit the patched registry.
+    Sweep specs name policies; forked workers (the grid runner, and the
+    multiprocessing pool on Linux) inherit the patched registry.
     """
     monkeypatch.setitem(STOCK_POLICIES, "always-broken", broken_factory)
 
@@ -88,19 +92,16 @@ CANARY_SPECS = [
 
 class TestCanaryRollbackEquivalence:
     def test_serial_jobs_and_warm_are_byte_identical(self, broken_stock):
-        serial = run_sweep(list(CANARY_SPECS), jobs=1)
+        cold = [execute_spec(spec) for spec in CANARY_SPECS]
         # The scenario really exercised the rollback path and finished.
-        for record in serial:
+        for record in cold:
             assert record["canary"] == "rollback"
             assert record["policy_versions"] == 3  # inject/candidate/rollback
             assert record["total_ops"] == 2 * 20_000
-        jobs = run_sweep(list(CANARY_SPECS), jobs=2)
-        assert (json.dumps(jobs, sort_keys=True)
-                == json.dumps(serial, sort_keys=True))
-        if fork_supported():
-            warm = run_sweep(list(CANARY_SPECS), jobs=2, warm=True)
-            assert (json.dumps(warm, sort_keys=True)
-                    == json.dumps(serial, sort_keys=True))
+        for jobs in (1, 2):
+            records = run_sweep(list(CANARY_SPECS), jobs=jobs)
+            assert (json.dumps(records, sort_keys=True)
+                    == json.dumps(cold, sort_keys=True))
 
 
 class TestSweepShadowRecord:

@@ -1,5 +1,7 @@
 """Metrics: timelines, latencies, stats helpers, heat sampling."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ class TestTimeline:
     def test_invalid_bucket(self):
         with pytest.raises(ValueError):
             Timeline(bucket=0)
+
+
+class TestTimelinePickle:
+    def test_round_trip_preserves_series(self):
+        # SimReports cross process and cache boundaries; the timeline's
+        # nested defaultdicts must survive pickling.
+        timeline = Timeline(bucket=1.0)
+        timeline.record(0, 0.4)
+        timeline.record(0, 3.2, amount=5)
+        timeline.record(1, 2.8)
+        clone = pickle.loads(pickle.dumps(timeline))
+        assert clone.ranks() == timeline.ranks()
+        for rank in timeline.ranks():
+            assert clone.series(rank).tolist() \
+                == timeline.series(rank).tolist()
+        # The restored defaultdicts still accept new records.
+        clone.record(2, 9.9)
+        assert clone.ranks() == [0, 1, 2]
 
 
 class TestLatencyRecorder:

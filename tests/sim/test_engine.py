@@ -1,8 +1,8 @@
-"""Event engine: ordering, cancellation, completions, processes."""
+"""Event engine: ordering, cancellation, completions, processes, barriers."""
 
 import pytest
 
-from repro.sim.engine import CancelledError, SimEngine
+from repro.sim.engine import CancelledError, Completion, SimEngine
 
 
 class TestScheduling:
@@ -238,3 +238,72 @@ class TestProcesses:
         engine.process(forever())
         with pytest.raises(RuntimeError, match="exceeded"):
             engine.run(max_events=100)
+
+
+class TestRunBefore:
+    """``run_before(t)`` runs exactly the events a full run runs before
+    *t* and leaves the heap intact, so a split run finishes the identical
+    sequence (the forked grid runner's shared prefix)."""
+
+    def test_splits_exactly_at_the_barrier(self):
+        engine = SimEngine()
+        fired = []
+        for when in (1.0, 2.0, 5.0, 9.999, 10.0, 10.5):
+            engine.schedule(when, fired.append, when)
+        engine.run_before(10.0)
+        assert fired == [1.0, 2.0, 5.0, 9.999]
+        assert engine.now == 9.999
+        engine.run()
+        assert fired == [1.0, 2.0, 5.0, 9.999, 10.0, 10.5]
+
+    def test_split_run_matches_unsplit_run(self):
+        def build():
+            engine = SimEngine()
+            fired = []
+
+            def chain(n):
+                fired.append((engine.now, n))
+                if n:
+                    engine.schedule(1.5, chain, n - 1)
+
+            engine.schedule(0.5, chain, 12)
+            return engine, fired
+
+        whole_engine, whole = build()
+        whole_engine.run()
+        split_engine, split = build()
+        split_engine.run_before(10.0)
+        split_engine.run()
+        assert split == whole
+
+    def test_ties_at_barrier_stay_after_it(self):
+        engine = SimEngine()
+        fired = []
+        engine.schedule(10.0, fired.append, "a")
+        engine.schedule(10.0, fired.append, "b")
+        engine.run_before(10.0)
+        assert fired == []
+        engine.run()
+        assert fired == ["a", "b"]
+
+    def test_stops_when_completion_fires_early(self):
+        # run_until_complete stops mid-heap the instant the workload
+        # completion fires; run_before must do the same or a split run
+        # would execute leftover events an unsplit run never ran.
+        engine = SimEngine()
+        done = Completion(engine)
+        fired = []
+        engine.schedule(1.0, fired.append, 1.0)
+        engine.schedule(2.0, done.succeed)
+        engine.schedule(3.0, fired.append, 3.0)
+        engine.run_before(10.0, completion=done)
+        assert fired == [1.0]
+
+    def test_cancelled_events_are_skipped(self):
+        engine = SimEngine()
+        fired = []
+        handle = engine.schedule(1.0, fired.append, "cancelled")
+        engine.schedule(2.0, fired.append, "kept")
+        handle.cancel()
+        engine.run_before(5.0)
+        assert fired == ["kept"]

@@ -38,13 +38,6 @@ class TestRngStreams:
         second_draw = two.stream("client0").random(3)
         assert np.allclose(first_draw, second_draw)
 
-    def test_spawn_prefixes_names(self):
-        parent = RngStreams(seed=5)
-        child = parent.spawn("osd")
-        direct = RngStreams(seed=5).stream("osd/disk").random(3)
-        via_child = child.stream("disk").random(3)
-        assert np.allclose(direct, via_child)
-
 
 class TestServiceTime:
     def test_mean_is_respected(self):
