@@ -9,11 +9,17 @@ reads under greedy-spill, at the default heartbeat.  The
 ``lifecycle/faults`` case runs shared-dir creates under greedy-spill with a
 limping CPU, a crash and takeover, the stability guard, a fill-and-spill
 shadow and an adaptable canary that starts and rolls back inside the run.
+The ``ops/every-kind`` case replays per-client op lists that issue all
+eight op kinds on three ranks: renames between directories on different
+ranks, unlinks, readdirs, creates over existing files, and requests that
+fail with ENOENT, EEXIST and EINVAL, into a pre-split directory spread
+over two ranks.
 
 The digest hashes the summary line, every latency at full precision
 (``float.hex``), the per-rank op counts and the balancer decision list;
 the ``lifecycle/faults`` digest also hashes the fault and lifecycle events,
-the shadow log and the shadow summary.
+the shadow log and the shadow summary; the ``ops/every-kind`` digest also
+hashes each reply's kind, serving rank, forwards, result and error.
 Any change to simulated results -- event order, float arithmetic, RNG
 draws -- changes it.
 
@@ -29,14 +35,17 @@ import hashlib
 import pytest
 
 from repro.cluster import SimulatedCluster
+from repro.clients.ops import OpKind
 from repro.config import ClusterConfig
 from repro.core.policies import STOCK_POLICIES
 from repro.faults import FaultSchedule
 from repro.metrics.tracing import record_run
 from repro.workloads import CompileWorkload, CreateWorkload, ZipfWorkload
+from repro.workloads.patterns import TraceWorkload
 
 HEARTBEAT = 0.5
 LIFECYCLE = "lifecycle/faults"
+EVERY_KIND = "ops/every-kind"
 
 GOLDEN = {
     "create_shared":
@@ -61,6 +70,8 @@ GOLDEN = {
         "5d0f0eccecef8c16bbf5e72b7b0b3cd6c5c704aba74f71be9146b481895af053",
     LIFECYCLE:
         "cd02a6502dc07fa1536adb52d3c0f7baa78af7d16459f7ddba997fd9cc85bf0d",
+    EVERY_KIND:
+        "3c162219e4934951f6dc2fd275f2f959f34a86ed69518c5513705f826e48acf9",
 }
 
 
@@ -160,9 +171,84 @@ def lifecycle_digest(report) -> str:
     return digest.hexdigest()
 
 
+def every_kind_traces(rounds: int = 300) -> dict[int, list[tuple]]:
+    """Four clients' op lists: every op kind, success and error alike.
+
+    Client *c* works in ``/d{c % 3}`` and renames into the next one;
+    ``/d1`` is pinned to rank 2, so most renames cross ranks.  A RENAME
+    without a destination is EINVAL; a repeated MKDIR is EEXIST; a STAT
+    of a missing name and an OPEN of an unlinked file are ENOENT.
+    """
+    K = OpKind
+    traces = {}
+    for c in range(4):
+        home, away = f"/d{c % 3}", f"/d{(c + 1) % 3}"
+        ops = [(K.MKDIR, f"/m{c}"), (K.STAT, "/"), (K.READDIR, "/")]
+        for i in range(rounds):
+            ops += [(K.CREATE, f"/shared/c{c}_{i}"),
+                    (K.CREATE, f"{home}/f{c}_{i}"),
+                    (K.STAT, f"/shared/c{c}_{i}"),
+                    (K.LOOKUP, f"{home}/f{c}_{i}") if i % 2 else
+                    (K.OPEN, f"/shared/c{c}_{i // 2}")]
+            if i % 10 == 0:
+                ops.append((K.READDIR, home))
+            if i % 50 == 0:
+                ops.append((K.READDIR, "/shared/"))
+            if i % 5 == 1:
+                ops.append((K.RENAME, f"{home}/f{c}_{i}", f"{away}/r{c}_{i}"))
+            if i % 7 == 2:
+                ops.append((K.UNLINK, f"/shared/c{c}_{i}"))
+            if i % 25 == 3:
+                ops.append((K.STAT, f"{home}/missing{i}"))
+            if i % 40 == 4:
+                ops.append((K.MKDIR, f"/m{c}"))
+            if i % 9 == 5:
+                ops.append((K.CREATE, f"/shared/c{c}_{i - 1}"))
+            if i % 30 == 6:
+                ops.append((K.RENAME, f"{home}/f{c}_{i}"))
+            if i % 20 == 7:
+                ops.append((K.MKDIR, f"/m{c}/s{i}"))
+        traces[c] = ops
+    return traces
+
+
+def every_kind_run():
+    """The ``ops/every-kind`` run: ``(cluster, report, replies)``.
+
+    ``/shared`` starts split in four and spread over ranks 0 and 2, so
+    its writes pay the coherency surcharge and scatter-gather; greedy-spill
+    sheds rank 0's load to the idle rank 1.
+    """
+    config = ClusterConfig(num_mds=3, num_clients=4, seed=13,
+                           dir_split_size=200, heartbeat_interval=HEARTBEAT,
+                           cap_switch_time=0.0005, scatter_gather_prob=0.3)
+    workload = TraceWorkload(every_kind_traces())
+    cluster = SimulatedCluster(config,
+                               policy=STOCK_POLICIES["greedy-spill"]())
+    workload.prepare(cluster.namespace)
+    cluster.pin("/d1", 2)
+    cluster.namespace.resolve_dir("/shared").fragment(extra_bits=2)
+    cluster.spread_dirfrags("/shared", [0, 2])
+    replies = []
+    cluster.metrics.trace = lambda _now, _client, reply: replies.append(reply)
+    cluster.begin_workload(workload, skip_prepare=True)
+    return cluster, cluster.finish_workload(), replies
+
+
+def every_kind_digest(report, replies) -> str:
+    digest = hashlib.sha256(report_digest(report).encode())
+    for reply in replies:
+        digest.update(repr((reply.kind.value, reply.served_by, reply.forwards,
+                            reply.result, reply.error)).encode())
+    return digest.hexdigest()
+
+
 def run_digest(name: str) -> str:
     if name == LIFECYCLE:
         return lifecycle_digest(lifecycle_report())
+    if name == EVERY_KIND:
+        _cluster, report, replies = every_kind_run()
+        return every_kind_digest(report, replies)
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config)
     if policy != "none":
@@ -196,6 +282,22 @@ def test_lifecycle_run_fills_every_view_from_one_stream():
     # balancers alike.
     ticks = [(d.time, d.rank) for d in report.decisions]
     assert ticks == sorted(ticks)
+
+
+def test_every_kind_run_covers_each_op_and_error():
+    cluster, report, replies = every_kind_run()
+    outcomes = {(reply.kind, reply.error) for reply in replies}
+    assert {(kind, None) for kind in OpKind} <= outcomes
+    assert {(OpKind.STAT, "ENOENT"), (OpKind.MKDIR, "EEXIST"),
+            (OpKind.RENAME, "EINVAL")} <= outcomes
+    assert len(replies) == sum(len(ops) for ops in every_kind_traces().values())
+    # Cross-rank renames flush sessions; the spread directory
+    # scatter-gathers; rank 0 spills to rank 1 and forwards follow.
+    assert report.total_session_flushes > 0
+    assert report.total_migrations > 0
+    assert report.total_forwards > 0
+    assert sum(mds.metrics.scatter_gathers for mds in cluster.mdss) > 0
+    assert sum(mds.metrics.fragmentations for mds in cluster.mdss) > 0
 
 
 def test_recording_a_run_changes_nothing():
