@@ -34,8 +34,8 @@ class PendingOp:
 
     The MDS holds it beside the request and replies through it: it has
     the ``done``/``succeed`` pair of :class:`~repro.sim.engine.Completion`
-    the request path uses, and succeeding it hands the reply straight to
-    the client.
+    the request path uses, and succeeding it completes the op for the
+    client.
     """
 
     __slots__ = ("client", "dir_path", "issued_at", "done")
@@ -48,10 +48,28 @@ class PendingOp:
         self.done = False
 
     def succeed(self, reply: MetaReply) -> None:
+        """The reply arrived: account it, hand it to the trace sink if the
+        run is recorded, learn the route from it, and move the worker on
+        to its next op."""
         if self.done:
             raise RuntimeError("op already completed")
         self.done = True
-        self.client._complete(self, reply)
+        client = self.client
+        now = client.engine.now
+        metrics = client.metrics
+        metrics.latencies.record(client.client_id, now - self.issued_at)
+        client.ops_completed += 1
+        if reply.error is not None:
+            client.errors += 1
+        if metrics.trace is not None:
+            metrics.trace(now, client.client_id, reply)
+        client.mds_map[self.dir_path] = reply.served_by
+        if reply.dir_path is not None and reply.frag_map is not None:
+            client.frag_maps[reply.dir_path] = reply.frag_map
+        if client.think_time > 0:
+            client.engine.schedule(client.think_time, client._next_op)
+        else:
+            client._next_op()
 
 
 class Client:
@@ -111,24 +129,7 @@ class Client:
             if self._workers_left == 0:
                 self._finish()
             return
-        self._issue(op[0], op[1], op[2] if len(op) > 2 else None)
-
-    def _complete(self, pending: PendingOp, reply: MetaReply) -> None:
-        """The reply to *pending* arrived: account it, hand it to the
-        trace sink if the run is recorded, learn from it, and move its
-        worker on to the next op."""
-        self.metrics.latencies.record(self.client_id,
-                                      self.engine.now - pending.issued_at)
-        self.ops_completed += 1
-        if reply.error is not None:
-            self.errors += 1
-        if self.metrics.trace is not None:
-            self.metrics.trace(self.engine.now, self.client_id, reply)
-        self._learn(pending.dir_path, reply)
-        if self.think_time > 0:
-            self.engine.schedule(self.think_time, self._next_op)
-        else:
-            self._next_op()
+        self._issue(*op)
 
     def _finish(self) -> None:
         self.finished_at = self.engine.now
@@ -144,7 +145,11 @@ class Client:
 
         The path is parsed here, once per op, and travels with the
         request; the result always equals
-        :func:`~repro.clients.ops.parse_op_path`'s.
+        :func:`~repro.clients.ops.parse_op_path`'s.  The request goes to
+        the rank the cached fragtree names for its leaf, else to the most
+        specific subtree mapping (:meth:`_guess`).  The leaf is hashed
+        only against a split fragtree, and the hash travels on the
+        request for the MDS.
         """
         issued_at = self.engine.now
         if (kind is not OpKind.READDIR and path[:1] == "/"
@@ -159,17 +164,26 @@ class Client:
                           issued_at=issued_at, dst=dst, dir_path=dir_path,
                           leaf=leaf)
         pending = PendingOp(self, dir_path, issued_at)
-        rank = self._guess(req)
-        # _cap_switch_delay's common case (feature off / same rank) inlined;
-        # the method re-does the _last_rank swap, so undo it before calling.
-        previous = self._last_rank
-        self._last_rank = rank
-        if (self.cap_switch_time <= 0 or previous is None
-                or previous == rank):
-            delay = 0.0
-        else:
-            self._last_rank = previous
-            delay = self._cap_switch_delay(req, rank)
+        rank = None
+        if kind is not OpKind.READDIR:
+            frag_map = self.frag_maps.get(dir_path)
+            if frag_map:
+                hashed = None
+                for bits, value, frag_rank in frag_map:
+                    if not bits:
+                        rank = frag_rank  # the unsplit frag holds every name
+                        break
+                    if hashed is None:
+                        # The root has no leaf and hashes as "".
+                        hashed = req.leaf_hash = name_hash(leaf or "")
+                    if (hashed & ((1 << bits) - 1)) == value:
+                        rank = frag_rank
+                        break
+        if rank is None:
+            rank = self._guess(req)
+        # Staying on the same rank changes nothing and costs nothing.
+        delay = (self._cap_switch_delay(req, rank)
+                 if rank != self._last_rank else 0.0)
         if delay > 0:
             self.engine.schedule(
                 delay, self.network.deliver,
@@ -200,37 +214,15 @@ class Client:
 
     # -- the client-side subtree map ----------------------------------------
     def _guess(self, req: MetaRequest) -> int:
-        """Route via the cached fragtree if known, else the most specific
-        subtree mapping along the path, else rank 0.
-
-        Hashes the leaf only against a split fragtree, and leaves the
-        hash on the request for the MDS.
-        """
-        directory = req.dir_path
-        if req.kind is not OpKind.READDIR:
-            frag_map = self.frag_maps.get(directory)
-            if frag_map:
-                hashed = req.leaf_hash
-                for bits, value, rank in frag_map:
-                    if not bits:
-                        return rank  # the unsplit frag holds every name
-                    if hashed is None:
-                        # The root has no leaf and hashes as "".
-                        hashed = req.leaf_hash = name_hash(req.leaf or "")
-                    if (hashed & ((1 << bits) - 1)) == value:
-                        return rank
-        parts = split_path(directory)
+        """The most specific subtree mapping along the request's directory
+        path, else rank 0: the route when no cached fragtree names one."""
+        parts = split_path(req.dir_path)
         for depth in range(len(parts), -1, -1):
             prefix = "/" + "/".join(parts[:depth]) if depth else "/"
             rank = self.mds_map.get(prefix)
             if rank is not None:
                 return rank
         return 0
-
-    def _learn(self, dir_path: str, reply: MetaReply) -> None:
-        self.mds_map[dir_path] = reply.served_by
-        if reply.dir_path is not None and reply.frag_map is not None:
-            self.frag_maps[reply.dir_path] = reply.frag_map
 
 
 def build_clients(engine: SimEngine, network: Network,

@@ -81,6 +81,13 @@ class MdsServer:
         }
         self._forward_service = ServiceTime(config.service.forward,
                                             config.service.cv)
+        #: One handler per op family, dispatched on by ``_apply``.
+        self._handlers = {
+            OpKind.CREATE: self._create, OpKind.MKDIR: self._mkdir,
+            OpKind.STAT: self._stat, OpKind.LOOKUP: self._stat,
+            OpKind.OPEN: self._stat, OpKind.READDIR: self._readdir,
+            OpKind.UNLINK: self._unlink, OpKind.RENAME: self._rename,
+        }
         self._hb_epoch = 0
         self._stores_pending: dict[int, int] = {}
         # Fault state.
@@ -102,6 +109,11 @@ class MdsServer:
 
         *done* receives the reply: a :class:`Completion`, or anything with
         its ``done``/``succeed`` pair, such as a client's ``PendingOp``.
+
+        Samples the CPU time the request takes here: a forward costs only
+        the recognition slice; local service costs the op's time, inflated
+        by the coherency surcharge when the target directory is spread
+        over several ranks.
         """
         if not self.alive:
             # The client (or a forwarding peer) sent to a dead rank: bounce
@@ -111,26 +123,52 @@ class MdsServer:
         if count_hop:
             req.hops.append(self.rank)
         self.metrics.reqs_in_window += 1
-        service = self._sample_service(req) * self.cpu_factor
-        self.station.submit((req, done), service, want_completion=False)
+        if (req.tree_epoch == self.namespace.tree_epoch
+                and req.auth_epoch == _AUTH_EPOCH[0]):
+            route = req.route
+        else:
+            route = self._route(req)
+        local = False
+        if route is not None:
+            parent, _leaf, frag = route
+            auth = frag._auth  # DirFrag.authority inlined, as in _execute
+            local = (auth if auth is not None
+                     else parent.authority()) == self.rank
+        if not local:
+            service = self._forward_service.sample(self.rng)
+        else:
+            kind = req.kind
+            service = self._service[kind].sample(self.rng)
+            if kind is OpKind.READDIR:
+                # Service scales gently with directory size.
+                service *= 1.0 + min(8.0, parent.entry_count() / 20_000.0)
+            if IS_WRITE[kind]:
+                cached = parent._spread_cache
+                spread = (cached[1] if cached is not None
+                          and cached[0] == _AUTH_EPOCH[0]
+                          else parent.effective_spread())
+                if spread > 1.0:
+                    service *= 1.0 + (self.config.sync_penalty
+                                      * (spread - 1.0) ** 0.5)
+        self.station.submit((req, done), service * self.cpu_factor,
+                            want_completion=False)
 
     def _retry_dead(self, req: MetaRequest, done: Completion) -> None:
         """Park a request that hit a dead rank; redeliver after a delay.
 
-        Redelivery re-resolves authority from the namespace, so once a
-        standby has taken over the subtree the request lands there; while
-        the rank stays dead the request keeps waiting (clients simply see
-        high latency during the outage, as they would against real CephFS).
+        Redelivery re-resolves the request's own route, so once a standby
+        has taken over the dirfrag the request addresses it lands there;
+        while the rank stays dead the request keeps waiting (clients simply
+        see high latency during the outage, as they would against real
+        CephFS).
         """
         self.metrics.dead_letters += 1
 
         def redeliver() -> None:
             if done.done:
                 return
-            try:
-                auth = self.namespace.authority_for_path(req.path)
-            except (FileNotFoundError, NotADirectoryError):
-                auth = self.rank
+            route = self._route(req)
+            auth = route[2].authority() if route is not None else self.rank
             target = self.peers[auth] if self.peers else self
             if not target.alive:
                 self.engine.schedule(self.config.dead_rank_retry_delay,
@@ -142,41 +180,18 @@ class MdsServer:
 
         self.engine.schedule(self.config.dead_rank_retry_delay, redeliver)
 
-    def _sample_service(self, req: MetaRequest) -> float:
-        """CPU time this request will take at this rank.
-
-        Forwarded requests only cost the recognition/forward slice; local
-        requests cost the op's service time, inflated by the coherency
-        surcharge when the target directory is spread over several ranks.
-        """
-        route = self._route(req)
-        if route is None:
-            return self._forward_service.sample(self.rng)
-        parent, _leaf, frag = route
-        if frag.authority() != self.rank:
-            return self._forward_service.sample(self.rng)
-        base = self._service[req.kind].sample(self.rng)
-        if req.kind is OpKind.READDIR:
-            # Service scales gently with directory size.
-            entries = parent.entry_count()
-            base *= 1.0 + min(8.0, entries / 20_000.0)
-        spread = parent.effective_spread()
-        if spread > 1.0 and IS_WRITE[req.kind]:
-            base *= 1.0 + self.config.sync_penalty * (spread - 1.0) ** 0.5
-        return base
-
     def _route(self, req: MetaRequest):
-        """(parent directory, leaf name, dirfrag) for the request, or None.
+        """Resolve (parent directory, leaf name, dirfrag) for the request,
+        or None, and memoize it on the request.
 
-        Resolved once and memoized on the request for as long as the
-        namespace tree epoch and the global authority epoch (which also
-        moves on every dirfrag split) both hold, so service sampling, the
-        executor, forwards and retries all share one resolution.
+        The memo holds for as long as the namespace tree epoch and the
+        global authority epoch (which also moves on every dirfrag split)
+        both equal the two recorded beside it; callers check that first,
+        so service sampling, the executor and forwards share one
+        resolution.
         """
         tree_epoch = self.namespace.tree_epoch
         auth_epoch = _AUTH_EPOCH[0]
-        if req.tree_epoch == tree_epoch and req.auth_epoch == auth_epoch:
-            return req.route
         dir_path = req.dir_path
         if dir_path is None:
             dir_path, req.leaf = parse_op_path(req.kind, req.path)
@@ -202,14 +217,19 @@ class MdsServer:
         return route
 
     def _execute(self, task) -> None:
+        """Station completion: forward the request, or serve it here."""
         req, done = task
         if not isinstance(req, MetaRequest):
             # Internal work (fragmentation, session flushes): the CPU time
             # was the point; there is nothing to apply.
             return
-        route = self._route(req)
+        if (req.tree_epoch == self.namespace.tree_epoch
+                and req.auth_epoch == _AUTH_EPOCH[0]):
+            route = req.route
+        else:
+            route = self._route(req)
         if route is None:
-            self._reply(req, done, error="ENOENT")
+            self._reply(req, done, "ENOENT")
             return
         parent, leaf, frag = route
         if frag.frozen:
@@ -219,28 +239,66 @@ class MdsServer:
                 FREEZE_RETRY_DELAY, self.receive_request, req, done, False
             )
             return
-        auth = frag.authority()
-        self.all_load.hit(COUNTER_KIND[req.kind], self.engine.now)
-        if auth != self.rank and len(req.hops) < MAX_HOPS:
+        auth = frag._auth  # DirFrag.authority inlined
+        if auth is None:
+            auth = parent.authority()
+        now = self.engine.now
+        self.all_load.hit(COUNTER_KIND[req.kind], now)
+        rank = self.rank
+        if auth != rank and len(req.hops) < MAX_HOPS:
             self.metrics.forwards += 1
             self.network.deliver(self.peers[auth].receive_request, req, done)
             return
         self.metrics.traversal_hits += 1
-        self._serve(req, done, parent, leaf, frag)
-
-    # -- local service ---------------------------------------------------
-    def _serve(self, req: MetaRequest, done: Completion,
-               parent: Directory, leaf: Optional[str],
-               frag: DirFrag) -> None:
-        now = self.engine.now
         self.sessions.record_request(req.client_id, parent.path(), now)
-        needs_fetch, remote_prefixes = self._touch_path(parent, now)
-        delay = 0.0
+        # One walk up the ancestors marks this rank active along the path
+        # (active ranks take part in each ancestor's coherency and keep
+        # their replicas fresh) and touches each inode in the cache
+        # (InodeCache.touch inlined; the hit path only reorders the LRU).
+        cache = self.cache
+        entries = cache._entries
+        parent.server_activity[rank] = now
+        ino = parent.inode.ino
+        if ino in entries:
+            entries.move_to_end(ino)
+            cache.hits += 1
+            missed = False
+        else:
+            cache.misses += 1
+            cache.insert(ino)
+            missed = True
+        remote_misses = 0
+        node = parent.parent
+        while node is not None:
+            node.server_activity[rank] = now
+            ino = node.inode.ino
+            if ino in entries:
+                entries.move_to_end(ino)
+                cache.hits += 1
+            else:
+                cache.misses += 1
+                cache.insert(ino)
+                if node.authority() != rank:
+                    remote_misses += 1
+            node = node.parent
+        if missed or remote_misses:
+            self._fetch_or_traverse(req, done, parent, leaf, frag, missed,
+                                    remote_misses, now)
+            return
+        self._apply(req, done, parent, leaf, frag)
+
+    def _fetch_or_traverse(self, req: MetaRequest, done: Completion,
+                           parent: Directory, leaf: Optional[str],
+                           frag: DirFrag, needs_fetch: bool,
+                           remote_prefixes: int, now: float) -> None:
+        """Apply after the parent's RADOS fetch or the remote traversal of
+        the ancestors that missed the cache."""
         if needs_fetch and parent.authority() != self.rank:
             # The directory inode's authority is elsewhere: refresh the
             # replica from the authoritative MDS, not from RADOS.
             remote_prefixes += 1
             needs_fetch = False
+        delay = 0.0
         if remote_prefixes:
             # Stale/uncached ancestor inodes whose authority is elsewhere:
             # the serving MDS must traverse the prefix remotely (§2.1 --
@@ -264,77 +322,11 @@ class MdsServer:
             return
         self._apply(req, done, parent, leaf, frag)
 
-    def _touch_path(self, directory: Directory,
-                    now: float) -> tuple[bool, int]:
-        """Mark this rank active along the path and touch the path prefix
-        in the cache, in one walk up the ancestors.
-
-        Active ranks take part in each ancestor's coherency and keep their
-        replicas fresh.  Returns (parent missed -> RADOS fetch needed,
-        number of *remote* ancestor inodes that missed -> cross-rank
-        prefix traversals).
-        """
-        # InodeCache.touch inlined over the ancestor chain: three-plus
-        # touches per op.  The hit path only reorders the LRU.
-        cache = self.cache
-        entries = cache._entries
-        rank = self.rank
-        directory.server_activity[rank] = now
-        ino = directory.inode.ino
-        if ino in entries:
-            entries.move_to_end(ino)
-            cache.hits += 1
-            missed = False
-        else:
-            cache.misses += 1
-            cache.insert(ino)
-            missed = True
-        remote_misses = 0
-        node = directory.parent
-        while node is not None:
-            node.server_activity[rank] = now
-            ino = node.inode.ino
-            if ino in entries:
-                entries.move_to_end(ino)
-                cache.hits += 1
-            else:
-                cache.misses += 1
-                cache.insert(ino)
-                if node.authority() != rank:
-                    remote_misses += 1
-            node = node.parent
-        return missed, remote_misses
-
-    def _maybe_invalidate_replicas(self, parent: Directory) -> None:
-        """A write dirties the parent (and grandparent) fragstats; lazily
-        propagated, this occasionally invalidates the inode replicas other
-        ranks hold, forcing them into remote prefix traversals."""
-        if len(self.peers) <= 1:
-            return
-        if self.rng.random() >= self.config.parent_inval_prob:
-            return
-        now = self.engine.now
-        window = self.config.coherency_window
-        node: Optional[Directory] = parent
-        for _level in range(self.config.parent_inval_levels):
-            if node is None:
-                break
-            # Ranks recently active under this directory take part in its
-            # coherency protocol and keep their replica fresh (they pay
-            # through the scatter-gather path instead); only passive
-            # cachers go stale.
-            for peer in self.peers:
-                if peer.rank == self.rank:
-                    continue
-                if now - node.server_activity.get(peer.rank,
-                                                  -float("inf")) < window:
-                    continue
-                peer.cache.drop(node.inode.ino)
-            node = node.parent
-
     def _apply(self, req: MetaRequest, done: Completion,
                parent: Directory, leaf: Optional[str],
                frag: DirFrag) -> None:
+        """Apply the request through its op family's handler, account it
+        and reply."""
         now = self.engine.now
         kind = req.kind
         if req.auth_epoch != _AUTH_EPOCH[0]:
@@ -343,90 +335,135 @@ class MdsServer:
             frag = (parent.frag_for_name(leaf, req.leaf_hash)
                     if leaf is not None
                     else next(iter(parent.frags.values())))
-        result = None
         try:
-            if kind is OpKind.CREATE:
-                if leaf is None:
-                    raise ValueError("cannot create the root")
-                existing = frag.entries.get(leaf)
-                if existing is not None and not existing.is_dir:
-                    # O_CREAT on an existing file: truncate/update in place
-                    # (compiles recreate .o files all the time).
-                    existing.touch(now, write=True)
-                    existing.size = 0
-                    self.cache.touch(existing.ino)
-                else:
-                    inode = self.namespace.create_in(frag, leaf, now=now,
-                                                     hashed=req.leaf_hash)
-                    self.cache.insert(inode.ino)
-                self.journal.log("create")
-                self._maybe_store(parent, frag, now)
-            elif kind is OpKind.MKDIR:
-                directory = self.namespace.mkdir(req.path, now=now)
-                self.cache.insert(directory.inode.ino)
-                self.journal.log("mkdir")
-            elif kind is OpKind.UNLINK:
-                self.namespace.unlink(req.path, now=now)
-                self.journal.log("unlink")
-            elif kind is OpKind.RENAME:
-                dst = req.dst
-                if not dst:
-                    self._reply(req, done, error="EINVAL")
-                    return
-                dst_auth = self.namespace.authority_for_path(dst)
-                self.namespace.rename(req.path, dst, now=now)
-                self.journal.log("rename")
-                if dst_auth != self.rank:
-                    # Cross-MDS rename: §4.1 -- "client sessions ... are
-                    # flushed when slave MDS nodes rename or migrate
-                    # directories".
-                    dst_dir = dst.rsplit("/", 1)[0] or "/"
-                    flushed = self.sessions.flush_under(parent.path())
-                    flushed += self.peers[dst_auth].sessions.flush_under(
-                        dst_dir)
-                    self.metrics.session_flushes += flushed
-                    stall = flushed * self.config.session_flush_time
-                    if stall > 0:
-                        self.station.submit(("rename-flush", req.path),
-                                            stall, want_completion=False)
-            elif kind is OpKind.READDIR:
-                entries = parent.readdir()
-                result = len(entries)
-            else:  # STAT / LOOKUP / OPEN
-                inode = (frag.entries.get(leaf) if leaf is not None
-                         else parent.inode)
-                if inode is None:
-                    raise FileNotFoundError(req.path)
-                inode.touch(now)
-                self.cache.touch(inode.ino)
-                result = inode.ino
+            result = self._handlers[kind](req, parent, leaf, frag, now)
         except FileExistsError:
-            self._reply(req, done, error="EEXIST")
+            self._reply(req, done, "EEXIST")
             return
         except (FileNotFoundError, NotADirectoryError):
-            self._reply(req, done, error="ENOENT")
+            self._reply(req, done, "ENOENT")
             return
         except ValueError:
-            self._reply(req, done, error="EINVAL")
+            self._reply(req, done, "EINVAL")
             return
         counter_kind = COUNTER_KIND[kind]
         self.namespace.record_frag_hit(frag, counter_kind, now)
         self.auth_load.hit(counter_kind, now)
         self.metrics.ops_served += 1
         self.cluster_metrics.timeline.record(self.rank, now)
-        self._maybe_fragment(parent)
+        # The guards run inline; a helper runs only when its test fires.
+        # Every op kind checks the split: a pre-built directory can cross
+        # the threshold on a read.
+        if (len(parent.frags) == 1
+                and len(frag.entries) >= parent.split_size):
+            self._fragment(parent)
         if IS_WRITE[kind]:
-            self._maybe_scatter_gather(parent)
-            self._maybe_invalidate_replicas(parent)
-        self._reply(req, done, result=result, parent=parent)
+            cached = parent._spread_cache
+            spread = (cached[1] if cached is not None
+                      and cached[0] == _AUTH_EPOCH[0]
+                      else parent.effective_spread())
+            if spread > 1.0 and self.rank != parent.authority():
+                self._scatter_gather(parent, spread)
+            if (len(self.peers) > 1
+                    and self.rng.random() < self.config.parent_inval_prob):
+                self._invalidate_replicas(parent)
+        if not done.done:
+            hops = len(req.hops)
+            self.network.deliver(done.succeed, MetaReply(
+                req.req_id, kind, req.path, self.rank,
+                hops - 1 if hops > 1 else 0, now - req.issued_at, result,
+                None, req.dst, parent.path(), parent.frag_map()))
 
-    def _maybe_scatter_gather(self, directory: Directory) -> None:
-        """Slave writes on a spread directory occasionally trigger a full
-        scatter-gather: updates on the directory halt while stats travel to
-        the authoritative MDS and back (paper §4.1, footnote 3)."""
-        spread = directory.effective_spread()
-        if spread <= 1.0 or self.rank == directory.authority():
-            return
+    # -- op handlers: apply one op family, return the reply's result ------
+    def _create(self, req: MetaRequest, parent: Directory,
+                leaf: Optional[str], frag: DirFrag, now: float):
+        if leaf is None:
+            raise ValueError("cannot create the root")
+        existing = frag.entries.get(leaf)
+        if existing is not None and not existing.is_dir:
+            # O_CREAT on an existing file: truncate/update in place
+            # (compiles recreate .o files all the time).
+            existing.touch(now, write=True)
+            existing.size = 0
+            self.cache.touch(existing.ino)
+        else:
+            inode = self.namespace.create_in(frag, leaf, now=now,
+                                             hashed=req.leaf_hash)
+            self.cache.insert(inode.ino)
+        self.journal.log("create")
+        # Every Nth write to a directory commits it back to RADOS.
+        key = parent.inode.ino
+        count = self._stores_pending.get(key, 0) + 1
+        if count >= self.config.store_every:
+            self._stores_pending[key] = 0
+            self.metrics.stores += 1
+            self.namespace.record_frag_hit(frag, "STORE", now)
+            self.rados.write(f"dir.{key}", self.config.dir_object_bytes)
+        else:
+            self._stores_pending[key] = count
+        return None
+
+    def _stat(self, req: MetaRequest, parent: Directory,
+              leaf: Optional[str], frag: DirFrag, now: float):
+        """STAT, LOOKUP and OPEN."""
+        inode = frag.entries.get(leaf) if leaf is not None else parent.inode
+        if inode is None:
+            raise FileNotFoundError(req.path)
+        inode.touch(now)
+        self.cache.touch(inode.ino)
+        return inode.ino
+
+    def _readdir(self, req: MetaRequest, parent: Directory,
+                 leaf: Optional[str], frag: DirFrag, now: float):
+        return len(parent.readdir())
+
+    def _mkdir(self, req: MetaRequest, parent: Directory,
+               leaf: Optional[str], frag: DirFrag, now: float):
+        directory = self.namespace.mkdir(req.path, now=now)
+        self.cache.insert(directory.inode.ino)
+        self.journal.log("mkdir")
+        return None
+
+    def _unlink(self, req: MetaRequest, parent: Directory,
+                leaf: Optional[str], frag: DirFrag, now: float):
+        self.namespace.unlink(req.path, now=now)
+        self.journal.log("unlink")
+        return None
+
+    def _rename(self, req: MetaRequest, parent: Directory,
+                leaf: Optional[str], frag: DirFrag, now: float):
+        dst = req.dst
+        if not dst:
+            raise ValueError("rename needs a destination")
+        dst_auth = self.namespace.authority_for_path(dst)
+        self.namespace.rename(req.path, dst, now=now)
+        self.journal.log("rename")
+        if dst_auth != self.rank:
+            # Cross-MDS rename: §4.1 -- "client sessions ... are flushed
+            # when slave MDS nodes rename or migrate directories".
+            dst_dir = dst.rsplit("/", 1)[0] or "/"
+            flushed = self.sessions.flush_under(parent.path())
+            flushed += self.peers[dst_auth].sessions.flush_under(dst_dir)
+            self.metrics.session_flushes += flushed
+            stall = flushed * self.config.session_flush_time
+            if stall > 0:
+                self.station.submit(("rename-flush", req.path), stall,
+                                    want_completion=False)
+        return None
+
+    # -- rare follow-ups of a served write --------------------------------
+    def _fragment(self, directory: Directory) -> None:
+        directory.fragment(now=self.engine.now)
+        self.metrics.fragmentations += 1
+        # Fragmentation is real work on this CPU.
+        self.station.submit(("fragment", directory.path()), 0.001,
+                            want_completion=False)
+
+    def _scatter_gather(self, directory: Directory, spread: float) -> None:
+        """A slave write on a directory spread over *spread* ranks
+        occasionally triggers a full scatter-gather: updates on the
+        directory halt while stats travel to the authoritative MDS and back
+        (paper §4.1, footnote 3)."""
         probability = (self.config.scatter_gather_prob
                        * ((spread - 1.0) / 3.0) ** 2)
         if self.rng.random() >= probability:
@@ -447,41 +484,37 @@ class MdsServer:
 
         self.engine.schedule(halt, unfreeze)
 
-    def _maybe_store(self, parent: Directory, frag: DirFrag,
-                     now: float) -> None:
-        """Every Nth write to a directory commits it back to RADOS."""
-        key = parent.inode.ino
-        count = self._stores_pending.get(key, 0) + 1
-        if count >= self.config.store_every:
-            self._stores_pending[key] = 0
-            self.metrics.stores += 1
-            self.namespace.record_frag_hit(frag, "STORE", now)
-            obj = f"dir.{parent.inode.ino}"
-            self.rados.write(obj, self.config.dir_object_bytes)
-        else:
-            self._stores_pending[key] = count
+    def _invalidate_replicas(self, parent: Directory) -> None:
+        """A write dirtied the parent (and grandparent) fragstats; lazily
+        propagated, this invalidates the inode replicas passive ranks hold,
+        forcing them into remote prefix traversals."""
+        now = self.engine.now
+        window = self.config.coherency_window
+        node: Optional[Directory] = parent
+        for _level in range(self.config.parent_inval_levels):
+            if node is None:
+                break
+            # Ranks recently active under this directory take part in its
+            # coherency protocol and keep their replica fresh (they pay
+            # through the scatter-gather path instead); only passive
+            # cachers go stale.
+            for peer in self.peers:
+                if peer.rank == self.rank:
+                    continue
+                if now - node.server_activity.get(peer.rank,
+                                                  -float("inf")) < window:
+                    continue
+                # InodeCache.drop inlined: one per passive peer per level.
+                peer.cache._entries.pop(node.inode.ino, None)
+            node = node.parent
 
-    def _maybe_fragment(self, directory: Directory) -> None:
-        if directory.needs_fragmentation():
-            directory.fragment(now=self.engine.now)
-            self.metrics.fragmentations += 1
-            # Fragmentation is real work on this CPU.
-            self.station.submit(("fragment", directory.path()), 0.001,
-                                want_completion=False)
-
-    def _reply(self, req: MetaRequest, done: Completion,
-               result=None, error: Optional[str] = None,
-               parent: Optional[Directory] = None) -> None:
-        frag_map = None
-        dir_path = None
-        if parent is not None:
-            dir_path = parent.path()
-            frag_map = parent.frag_map()
+    def _reply(self, req: MetaRequest, done: Completion, error: str) -> None:
+        """Reply with *error* (the success path replies from ``_apply``)."""
         hops = len(req.hops)
         reply = MetaReply(req.req_id, req.kind, req.path, self.rank,
                           hops - 1 if hops > 1 else 0,
-                          self.engine.now - req.issued_at, result, error,
-                          req.dst, dir_path, frag_map)
+                          self.engine.now - req.issued_at, None, error,
+                          req.dst)
         if not done.done:
             self.network.deliver(done.succeed, reply)
 

@@ -63,7 +63,8 @@ class Timeline:
 
     def record(self, rank: int, now: float, amount: int = 1) -> None:
         self._counts[rank][int(now / self.bucket)] += amount
-        self.end_time = max(self.end_time, now)
+        if now > self.end_time:
+            self.end_time = now
 
     # The nested defaultdict uses a lambda factory, which pickle rejects;
     # timelines must cross process/cache boundaries (forked harness cells,

@@ -13,8 +13,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, Completion,
-                     EventHandle, SimEngine)
+from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, EventHandle,
+                     SimEngine)
 
 #: Jitter samples drawn per vectorized RNG call.
 _JITTER_BATCH = 1024
@@ -35,8 +35,9 @@ class Network:
         # this class and only with these (mu, sigma), and numpy's Generator
         # yields the same draw sequence for one size=N call as for N scalar
         # calls -- so refilling a batch preserves the exact delay sequence.
+        # The buffer always holds _JITTER_BATCH draws; it starts used up.
         self._jitter_buf: list[float] = []
-        self._jitter_idx = 0
+        self._jitter_idx = _JITTER_BATCH
         # The lognormal parameters only depend on the configuration; one
         # log/sqrt at construction instead of two logs + a sqrt per message.
         if self.jitter_cv > 0:
@@ -59,10 +60,9 @@ class Network:
         if self.jitter_cv <= 0:
             return self.base_latency
         idx = self._jitter_idx
-        buf = self._jitter_buf
-        if idx < len(buf):
+        if idx < _JITTER_BATCH:
             self._jitter_idx = idx + 1
-            return buf[idx]
+            return self._jitter_buf[idx]
         return self._refill_jitter()
 
     def deliver(self, handler: Callable[..., None], *args: Any) -> None:
@@ -75,10 +75,9 @@ class Network:
             delay = self.base_latency
         else:
             idx = self._jitter_idx
-            buf = self._jitter_buf
-            if idx < len(buf):
+            if idx < _JITTER_BATCH:
                 self._jitter_idx = idx + 1
-                delay = buf[idx]
+                delay = self._jitter_buf[idx]
             else:
                 delay = self._refill_jitter()
         engine = self.engine
@@ -100,13 +99,3 @@ class Network:
                       handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one hop plus *extra_delay*."""
         self.engine.schedule(self.one_way() + extra_delay, handler, *args)
-
-    def request(self, handler: Callable[[Completion], None]) -> Completion:
-        """One-hop request whose response is signalled through a completion.
-
-        The callee receives the completion and succeeds it when done; the
-        caller should yield on it from a process.
-        """
-        completion = self.engine.completion()
-        self.engine.schedule(self.one_way(), handler, completion)
-        return completion

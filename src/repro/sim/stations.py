@@ -20,9 +20,10 @@ from .rng import ServiceTime
 
 
 class Job:
-    """One queued unit of work."""
+    """One queued unit of work; ``started_at`` is set when service starts."""
 
-    __slots__ = ("payload", "service", "completion", "enqueued_at")
+    __slots__ = ("payload", "service", "completion", "enqueued_at",
+                 "started_at")
 
     def __init__(self, payload: Any, service: float,
                  completion: Completion, enqueued_at: float) -> None:
@@ -55,13 +56,13 @@ class FifoStation:
         self._queue: deque[Job] = deque()
         self._busy_servers = 0
         self._paused = False
-        self._in_service: dict[int, tuple[Job, "EventHandle"]] = {}
+        #: Jobs in service -> their completion events, in start order.
+        self._in_service: dict[Job, EventHandle] = {}
         # Accounting.
         self.busy_time = 0.0
         self.jobs_done = 0
         self.total_wait = 0.0
         self.total_service = 0.0
-        self._busy_since: dict[int, float] = {}
         self._last_window_mark = 0.0
         self._window_busy = 0.0
 
@@ -84,8 +85,8 @@ class FifoStation:
         window = now - self._last_window_mark
         busy = self._window_busy
         # Add partial busy time of still-running jobs.
-        for since in self._busy_since.values():
-            busy += now - max(since, self._last_window_mark)
+        for job in self._in_service:
+            busy += now - max(job.started_at, self._last_window_mark)
         self._last_window_mark = now
         self._window_busy = 0.0
         if window <= 0:
@@ -113,9 +114,9 @@ class FifoStation:
         """
         now = self.engine.now
         abandoned: list[Job] = []
-        for slot, (job, handle) in list(self._in_service.items()):
+        for job, handle in self._in_service.items():
             handle.cancel()
-            started = self._busy_since.pop(slot)
+            started = job.started_at
             span = now - started
             self.busy_time += span
             self._window_busy += now - max(started, self._last_window_mark)
@@ -164,8 +165,7 @@ class FifoStation:
         engine = self.engine
         now = engine.now
         self._busy_servers += 1
-        slot = id(job)
-        self._busy_since[slot] = now
+        job.started_at = now
         self.total_wait += now - job.enqueued_at
         # engine.schedule() inlined (service times are never negative);
         # the bookkeeping matches schedule() exactly.
@@ -175,22 +175,23 @@ class FifoStation:
         handle.time = time
         handle.seq = seq
         handle.fn = self._finish
-        handle.args = (job, slot)
+        handle.args = (job,)
         handle.cancelled = False
         heappush(engine._heap, (time, seq, handle))
         engine._scheduled += 1
         if (engine._scheduled & _COMPACT_EVERY_MASK) == 0 \
                 and len(engine._heap) >= _COMPACT_MIN_HEAP:
             engine._maybe_compact()
-        self._in_service[slot] = (job, handle)
+        self._in_service[job] = handle
 
-    def _finish(self, job: Job, slot: int) -> None:
-        self._in_service.pop(slot, None)
-        started = self._busy_since.pop(slot)
-        span = self.engine.now - started
+    def _finish(self, job: Job) -> None:
+        del self._in_service[job]
+        now = self.engine.now
+        started = job.started_at
+        span = now - started
         self.busy_time += span
-        self._window_busy += self.engine.now - max(started,
-                                                   self._last_window_mark)
+        mark = self._last_window_mark
+        self._window_busy += now - (started if started >= mark else mark)
         self.total_service += span
         self.jobs_done += 1
         self._busy_servers -= 1

@@ -35,8 +35,10 @@ def reference_parse(kind, path):
 class CaptureNetwork:
     def __init__(self):
         self.sent = []
+        self.handlers = []
 
-    def deliver(self, _fn, req, _pending):
+    def deliver(self, handler, req, _pending):
+        self.handlers.append(handler)
         self.sent.append(req)
 
 
@@ -105,11 +107,15 @@ def test_client_fragtree_route_matches_authority(leaf, bits):
     if bits:
         parent.fragment(extra_bits=bits)
         spread(parent)
-    client = Client(SimEngine(), 0, CaptureNetwork(), [], None, iter([]))
+    # Each rank's receive_request is its rank number, so the handler the
+    # request is delivered to names the rank the client routed to.
+    network = CaptureNetwork()
+    ranks = [SimpleNamespace(receive_request=rank) for rank in range(2)]
+    client = Client(SimEngine(), 0, network, ranks, None, iter([]))
     client.frag_maps["/d"] = parent.frag_map()
-    req = MetaRequest(kind=OpKind.CREATE, path=f"/d/{leaf}", client_id=0,
-                      dir_path="/d", leaf=leaf)
-    assert client._guess(req) == parent.frag_for_name(leaf).authority()
+    client._issue(OpKind.CREATE, f"/d/{leaf}")
+    (req,) = network.sent
+    assert network.handlers == [parent.frag_for_name(leaf).authority()]
     # The client hashes only against a split fragtree, and carries the
     # leaf's hash.
     assert req.leaf_hash == (name_hash(leaf) if bits else None)

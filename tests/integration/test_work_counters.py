@@ -7,7 +7,9 @@ depend on the host, so these guards fail as soon as a change adds a hop
 back: a second path resolution, a per-op frag lookup, or a client
 coroutine resume.  A ceiling on all calls per op into ``repro`` covers
 the four golden scenario shapes, so a change that adds work anywhere on
-the op path (an unconditional observer call, say) fails here.
+the op path (an unconditional observer call, say) fails here; a second
+ceiling on calls into ``mds/server.py`` keeps the MDS request path
+straight-line (one handler per op, guards inline).
 """
 
 from __future__ import annotations
@@ -26,16 +28,19 @@ from repro.workloads import CreateWorkload
 from tests.integration.test_golden_digests import scenario
 
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+SERVER_FILE = os.path.join(REPRO_DIR, "mds", "server.py")
 #: Python 3.12 inlines these (PEP 709), so they are frames only before it.
 INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 #: Calls per op into ``repro`` for each golden scenario shape: the count
 #: recorded when the ceiling was set, plus 2%.
 CALLS_PER_OP_CEILING = {
-    "create_shared": 64.00 * 1.02,
-    "zipf_read": 61.21 * 1.02,
-    "compile": 72.91 * 1.02,
-    "scale20": 205.42 * 1.02,
+    "create_shared": 42.21 * 1.02,
+    "zipf_read": 40.92 * 1.02,
+    "compile": 53.49 * 1.02,
+    "scale20": 174.01 * 1.02,
 }
+#: Calls per op into ``mds/server.py`` for the create shape, the same way.
+SERVER_CALLS_PER_OP_CEILING = 5.49 * 1.02
 
 
 def profiled_run(policy: str | None):
@@ -103,8 +108,9 @@ def test_client_ops_resume_no_coroutines():
     assert calls.get(("sim/engine.py", "_resume"), 0) == 0
 
 
-def repro_calls_per_op(name: str) -> float:
-    """Calls per op into functions under ``repro`` for one scenario run."""
+def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
+    """Calls per op into functions in files starting with *prefix* (all
+    of ``repro`` by default) for one scenario run."""
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
     profile = cProfile.Profile()
@@ -114,16 +120,25 @@ def repro_calls_per_op(name: str) -> float:
     calls = sum(
         stats[1]
         for (filename, _line, func), stats in pstats.Stats(profile).stats.items()
-        if filename.startswith(REPRO_DIR) and func not in INLINED_FRAMES
+        if filename.startswith(prefix) and func not in INLINED_FRAMES
     )
     return calls / workload.total_ops()
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
 def test_calls_per_op_stay_under_ceiling(name):
-    assert repro_calls_per_op(name) <= CALLS_PER_OP_CEILING[name]
+    assert calls_per_op(name) <= CALLS_PER_OP_CEILING[name]
+
+
+def test_server_calls_per_op_stay_under_ceiling():
+    assert (calls_per_op("create_shared", SERVER_FILE)
+            <= SERVER_CALLS_PER_OP_CEILING)
 
 
 if __name__ == "__main__":
     for shape in sorted(CALLS_PER_OP_CEILING):
-        print(f"{shape}: {repro_calls_per_op(shape):.2f} calls/op")
+        print(f"{shape}: {calls_per_op(shape):.2f} calls/op "
+              f"(ceiling {CALLS_PER_OP_CEILING[shape]:.2f})")
+    print(f"create_shared mds/server.py: "
+          f"{calls_per_op('create_shared', SERVER_FILE):.2f} calls/op "
+          f"(ceiling {SERVER_CALLS_PER_OP_CEILING:.2f})")

@@ -98,7 +98,7 @@ class TestReplicaInvalidation:
         # Rank 1 recently served under /d.
         d.server_activity[1] = cluster.engine.now
         mds1.cache.insert(d.inode.ino)
-        mds0._maybe_invalidate_replicas(d)
+        mds0._invalidate_replicas(d)
         assert d.inode.ino in mds1.cache
 
     def test_passive_ranks_lose_replicas(self):
@@ -106,7 +106,7 @@ class TestReplicaInvalidation:
         mds0, mds1 = cluster.mdss
         mds1.cache.insert(d.inode.ino)
         # No recent activity from rank 1 under /d.
-        mds0._maybe_invalidate_replicas(d)
+        mds0._invalidate_replicas(d)
         assert d.inode.ino not in mds1.cache
 
     def test_invalidation_climbs_ancestors(self):
@@ -118,17 +118,28 @@ class TestReplicaInvalidation:
         mds0, mds1 = cluster.mdss
         for node in (deep, b, a):
             mds1.cache.insert(node.inode.ino)
-        mds0._maybe_invalidate_replicas(deep)
+        mds0._invalidate_replicas(deep)
         # Two levels by default: c and b dropped, a kept.
         assert deep.inode.ino not in mds1.cache
         assert b.inode.ino not in mds1.cache
         assert a.inode.ino in mds1.cache
 
+    def test_write_drops_passive_replicas(self):
+        # The guard in the write path fires at probability 1.
+        cluster, d = build(num_mds=2, parent_inval_prob=1.0)
+        mds1 = cluster.mdss[1]
+        mds1.cache.insert(d.inode.ino)
+        reply = TestScatterGather().issue(cluster, OpKind.CREATE, "/d/g", 0)
+        assert reply.ok
+        assert d.inode.ino not in mds1.cache
+
     def test_single_rank_cluster_no_op(self):
         cluster = SimulatedCluster(
             make_config(num_mds=1, parent_inval_prob=1.0))
         d = cluster.namespace.mkdirs("/d")
-        cluster.mdss[0]._maybe_invalidate_replicas(d)  # must not crash
+        reply = TestScatterGather().issue(cluster, OpKind.CREATE, "/d/g", 0)
+        assert reply.ok
+        assert d.inode.ino in cluster.mdss[0].cache
 
 
 class TestClientCapSwitching:

@@ -90,6 +90,27 @@ class TestDeadRankDetection:
         assert mds.metrics.dead_letters >= 1
         assert mds.metrics.restarts == 1
 
+    def test_dead_rank_readdir_redelivers_by_its_own_directory(self):
+        # READDIR addresses the directory itself, not its parent's dirfrag:
+        # while the directory's rank is down, the bounced request waits
+        # instead of ping-ponging through the parent's (live) rank.
+        from repro.clients.ops import MetaRequest, OpKind
+
+        cluster = SimulatedCluster(make_config(num_mds=2))
+        cluster.namespace.mkdirs("/a/b")
+        cluster.pin("/a/b", 1)
+        cluster.mdss[1].crash()
+        req = MetaRequest(kind=OpKind.READDIR, path="/a/b", client_id=0,
+                          issued_at=cluster.engine.now)
+        done = cluster.engine.completion()
+        cluster.mdss[1].receive_request(req, done)
+        cluster.engine.run_until(0.5)
+        live = cluster.mdss[0]
+        assert live.metrics.forwards == 0
+        assert live.station.jobs_done == 0
+        assert cluster.mdss[1].metrics.dead_letters == 1
+        assert not done.done
+
     def test_restart_replays_journal(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         mds = cluster.mdss[0]

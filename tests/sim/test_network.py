@@ -78,7 +78,9 @@ class TestDelivery:
             completion.succeed("pong")
 
         def client():
-            reply = yield network.request(server)
+            completion = engine.completion()
+            network.deliver(server, completion)
+            reply = yield completion
             return reply
 
         process = engine.process(client())

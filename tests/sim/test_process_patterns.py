@@ -77,7 +77,9 @@ class TestTimeBehaviour:
 
         def chain():
             for _ in range(3):
-                hops.append((yield network.request(server)))
+                reply = engine.completion()
+                network.deliver(server, reply)
+                hops.append((yield reply))
 
         engine.process(chain())
         engine.run()
