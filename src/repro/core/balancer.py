@@ -108,10 +108,11 @@ class MantleBalancer:
         self.events = events
         self._active = policy
         self._tick_inputs = None
-        # Per-tick metaload memos.  Within one tick `now` is fixed and the
-        # first counter snapshot decays the counters in place, so repeated
-        # evaluations return bit-identical values -- caching them skips
-        # re-walking subtrees once per target rank.
+        # Per-tick memos.  Within one tick `now` is fixed and reads are
+        # pure, so repeated evaluations return bit-identical values --
+        # caching them skips re-walking subtrees once per target rank.
+        # Directory loads are subtree sums, each filled once, bottom-up.
+        self._dir_snapshots: dict[int, dict[str, float]] = {}
         self._dir_load_memo: dict[int, float] = {}
         self._unit_load_memo: dict[int, float] = {}
 
@@ -184,6 +185,7 @@ class MantleBalancer:
     # ------------------------------------------------------------------
     def tick(self, mds: "MdsServer") -> BalanceDecision:
         now = mds.engine.now
+        self._dir_snapshots.clear()
         self._dir_load_memo.clear()
         self._unit_load_memo.clear()
         self._tick_inputs = None
@@ -278,8 +280,7 @@ class MantleBalancer:
         all_counters = mds.all_load.snapshot(now)
         if self.shadow is not None:
             # Stash the *exact* inputs this tick decided on, so the shadow
-            # evaluates its candidate against identical bindings without
-            # touching (and re-decaying) any live counter.
+            # evaluates its candidate against identical bindings.
             self._tick_inputs = (mds_metrics, local_counters,
                                  auth_counters, all_counters)
         bindings = build_decision_bindings(
@@ -384,7 +385,8 @@ class MantleBalancer:
         key = id(directory)
         value = memo.get(key)
         if value is None:
-            value = self.metaload_fn(directory.counters.snapshot(now))
+            value = self.metaload_fn(
+                directory.load_snapshot(now, self._dir_snapshots))
             memo[key] = value
         return value
 

@@ -10,10 +10,9 @@ snapshots -- and the shadow re-runs the candidate's ``mdsload`` and
 candidate would have migrated and where.  Nothing it computes ever touches
 the cluster.
 
-Passivity is load-bearing: counter snapshots decay counters *in place*, so
-the shadow never takes its own snapshots (a shadowed run would then decay
-differently from an unshadowed one and the reports would diverge).  It
-reuses the live tick's dicts read-only and keeps a private
+Passivity is load-bearing: the shadow judges the candidate on exactly the
+bindings the live policy decided on, so it takes no snapshots of its own
+and reuses the live tick's dicts read-only.  It keeps a private
 :class:`BalancerState` so candidate ``WRstate`` writes stay invisible.
 """
 

@@ -72,8 +72,9 @@ class MdsServer:
         self.lifecycle = None
         #: Decayed load this rank served as the authority ("auth") and
         #: touched at all, including forwards ("all") -- Table 2 metrics.
-        self.auth_load = LoadCounters(half_life=config.decay_half_life)
-        self.all_load = LoadCounters(half_life=config.decay_half_life)
+        #: They share the namespace's decay clock.
+        self.auth_load = LoadCounters(namespace.clock)
+        self.all_load = LoadCounters(namespace.clock)
         self._service = {
             kind: ServiceTime(config.service.mean_for(kind.value),
                               config.service.cv)
@@ -243,7 +244,13 @@ class MdsServer:
         if auth is None:
             auth = parent.authority()
         now = self.engine.now
-        self.all_load.hit(COUNTER_KIND[req.kind], now)
+        load = self.all_load  # LoadCounters.hit inlined
+        clock = load.clock
+        if now != clock.now:
+            clock.advance(now)
+        if load.landmark != clock.landmark:
+            load.rebase()
+        load.sums[COUNTER_KIND[req.kind]] += clock.gain
         rank = self.rank
         if auth != rank and len(req.hops) < MAX_HOPS:
             self.metrics.forwards += 1
@@ -348,7 +355,11 @@ class MdsServer:
             return
         counter_kind = COUNTER_KIND[kind]
         self.namespace.record_frag_hit(frag, counter_kind, now)
-        self.auth_load.hit(counter_kind, now)
+        # LoadCounters.hit inlined; the frag hit just advanced the clock.
+        load = self.auth_load
+        if load.landmark != load.clock.landmark:
+            load.rebase()
+        load.sums[counter_kind] += load.clock.gain
         self.metrics.ops_served += 1
         self.cluster_metrics.timeline.record(self.rank, now)
         # The guards run inline; a helper runs only when its test fires.

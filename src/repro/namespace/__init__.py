@@ -4,13 +4,13 @@ Implements CephFS's dynamic-subtree-partitioning data model: the namespace
 is a tree of directories, each partitioned into dirfrags by a hash of the
 entry name; authority over subtrees and individual dirfrags determines which
 MDS rank serves which requests; per-dirfrag popularity counters with
-exponential decay feed the balancer's load formulas.
+exponential decay, summed per subtree, feed the balancer's load formulas.
 """
 
 from .counters import (
     DEFAULT_HALF_LIFE,
     OP_KINDS,
-    DecayCounter,
+    DecayClock,
     LoadCounters,
 )
 from .directory import DEFAULT_SPLIT_BITS, DEFAULT_SPLIT_SIZE, Directory
@@ -22,7 +22,7 @@ __all__ = [
     "DEFAULT_HALF_LIFE",
     "DEFAULT_SPLIT_BITS",
     "DEFAULT_SPLIT_SIZE",
-    "DecayCounter",
+    "DecayClock",
     "DirFrag",
     "Directory",
     "FragId",

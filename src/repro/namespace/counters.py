@@ -1,17 +1,20 @@
-"""Popularity counters with exponential decay.
+"""Popularity counters with exponential decay, kept in forward-decay form.
 
 CephFS tempers per-directory metadata counters with an exponential decay so
 that old hits fade (paper Fig 1: "smoothed with an exponential decay").
-A :class:`DecayCounter` stores its value at the time of the last update and
-decays lazily on read.
+Decay is linear, so a counter stores its hits weighted *forward* against a
+landmark time L (Cormode et al., "Forward Decay", ICDE 2009): a hit of
+*amount* at t adds ``amount * 2**((t - L) / half_life)`` -- one multiply-add
+-- and a read at *now* scales by ``0.5**((now - L) / half_life)``, touching
+nothing.  One :class:`DecayClock` per cluster computes that weight once per
+distinct hit time and moves L forward once a hit lands
+:data:`REANCHOR_HALF_LIVES` half-lives after it; a counter re-expresses its
+sums against the new landmark the next time it is hit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import field
-
-from ..dataclass import dataclass
 
 #: Op kinds tracked per dirfrag/directory -- exactly the metrics the Mantle
 #: environment exposes to load formulas (paper Table 2).
@@ -19,132 +22,100 @@ OP_KINDS = ("IRD", "IWR", "READDIR", "FETCH", "STORE")
 
 DEFAULT_HALF_LIFE = 5.0  # seconds; mirrors CephFS's mds_decay_halflife
 
-#: Decay exponents (elapsed measured in half-lives) below this leave the
-#: value unchanged to within ~7e-10 relative; skip the pow entirely.
-_MIN_DECAY_RATIO = 1e-9
+#: The landmark moves once a hit lands this many half-lives after it.
+REANCHOR_HALF_LIVES = 64.0
+
+#: Decayed values below this read as zero.
+_ZERO = 1e-12
 
 
-class DecayCounter:
-    """A scalar that decays exponentially with the given half-life."""
+class DecayClock:
+    """The landmark and hit weight shared by one cluster's counters."""
 
-    __slots__ = ("half_life", "_value", "_last")
+    __slots__ = ("half_life", "landmark", "now", "gain", "_read")
 
-    def __init__(self, half_life: float = DEFAULT_HALF_LIFE,
-                 value: float = 0.0, now: float = 0.0) -> None:
+    def __init__(self, half_life: float = DEFAULT_HALF_LIFE) -> None:
         if half_life <= 0:
             raise ValueError("half-life must be positive")
         self.half_life = half_life
-        self._value = value
-        self._last = now
+        self.landmark = 0.0
+        #: The last hit time and its weight ``2**((now - landmark) / hl)``.
+        self.now = 0.0
+        self.gain = 1.0
+        #: ``(landmark, now, factor)`` of the last read; reads do not touch
+        #: the hit weight, so reading never moves the landmark.
+        self._read = (0.0, 0.0, 1.0)
 
-    def _decay_to(self, now: float) -> None:
-        if now > self._last:
-            if self._value != 0.0:
-                elapsed = now - self._last
-                ratio = elapsed / self.half_life
-                if ratio >= _MIN_DECAY_RATIO:
-                    self._value *= math.pow(0.5, ratio)
-                    if self._value < 1e-12:
-                        self._value = 0.0
-            self._last = now
+    def advance(self, now: float) -> None:
+        """Make :attr:`gain` the weight of a hit at *now*, first moving the
+        landmark to *now* if it lies too many half-lives behind."""
+        if now - self.landmark > REANCHOR_HALF_LIVES * self.half_life:
+            self.landmark = now
+        self.now = now
+        self.gain = math.pow(2.0, (now - self.landmark) / self.half_life)
 
-    def hit(self, now: float, amount: float = 1.0) -> None:
-        """Record *amount* of activity at time *now*."""
-        self._decay_to(now)
-        self._value += amount
-
-    def get(self, now: float) -> float:
-        """Current decayed value."""
-        self._decay_to(now)
-        return self._value
-
-    def reset(self, now: float, value: float = 0.0) -> None:
-        self._value = value
-        self._last = now
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DecayCounter({self._value:.3f}@{self._last:.3f})"
+    def decay(self, landmark: float, now: float) -> float:
+        """``0.5**((now - landmark) / half_life)``: a sum kept against
+        *landmark*, scaled by this, is its value at *now*."""
+        read = self._read
+        if read[1] != now or read[0] != landmark:
+            read = self._read = (landmark, now, math.pow(
+                0.5, (now - landmark) / self.half_life))
+        return read[2]
 
 
-@dataclass
 class LoadCounters:
-    """The five decayed op counters of one dirfrag or directory."""
+    """The five decayed op counters of one dirfrag or MDS rank.
 
-    half_life: float = DEFAULT_HALF_LIFE
-    counters: dict[str, DecayCounter] = field(default_factory=dict)
+    ``sums[kind]`` is the forward-decayed sum against :attr:`landmark`.
+    The request path updates it inline; :meth:`hit` is the same arithmetic.
+    """
 
-    def __post_init__(self) -> None:
-        for kind in OP_KINDS:
-            self.counters.setdefault(kind, DecayCounter(self.half_life))
+    __slots__ = ("clock", "landmark", "sums")
+
+    def __init__(self, clock: DecayClock) -> None:
+        self.clock = clock
+        self.reset()
+
+    def rebase(self) -> None:
+        """Re-express the sums against the clock's current landmark."""
+        clock = self.clock
+        factor = math.pow(2.0, (self.landmark - clock.landmark)
+                          / clock.half_life)
+        sums = self.sums
+        # A sum below _ZERO against the newest landmark reads as zero at
+        # every later instant; dropping it keeps denormals out.
+        for kind, value in sums.items():
+            value *= factor
+            sums[kind] = value if value >= _ZERO else 0.0
+        self.landmark = clock.landmark
 
     def hit(self, kind: str, now: float, amount: float = 1.0) -> None:
-        counter = self.counters.get(kind)
-        if counter is None:
-            raise KeyError(f"unknown op kind {kind!r}")
-        # DecayCounter.hit inlined: this runs ~6 times per simulated op
-        # (frag + directory + ancestors + per-rank loads), so dropping two
-        # call frames per hit is measurable.  Identical arithmetic.
-        last = counter._last
-        if now > last:
-            value = counter._value
-            if value != 0.0:
-                ratio = (now - last) / counter.half_life
-                if ratio >= _MIN_DECAY_RATIO:
-                    value *= math.pow(0.5, ratio)
-                    if value < 1e-12:
-                        value = 0.0
-                    counter._value = value
-            counter._last = now
-        counter._value += amount
-
-    def get(self, kind: str, now: float) -> float:
-        return self.counters[kind].get(now)
+        """Record *amount* of *kind* activity at time *now*."""
+        clock = self.clock
+        if now != clock.now:
+            clock.advance(now)
+        if self.landmark != clock.landmark:
+            self.rebase()
+        self.sums[kind] += amount * clock.gain
 
     def snapshot(self, now: float) -> dict[str, float]:
-        """All five decayed values at *now* (the balancer's view).
-
-        Counters that were last touched at the same instant share the same
-        decay factor, so the common steady state (all five decayed together
-        by a previous snapshot) costs one ``pow`` per read instead of five.
-        The pow arguments are exactly those the per-counter path would use,
-        so the values are bit-identical.
-        """
+        """All five decayed values at *now* (the balancer's view)."""
+        factor = self.clock.decay(self.landmark, now)
         out: dict[str, float] = {}
-        factors: dict[float, float] = {}
-        for kind, counter in self.counters.items():
-            value = counter._value
-            last = counter._last
-            if now > last:
-                if value != 0.0:
-                    factor = factors.get(last)
-                    if factor is None:
-                        ratio = (now - last) / counter.half_life
-                        factor = (math.pow(0.5, ratio)
-                                  if ratio >= _MIN_DECAY_RATIO else 1.0)
-                        factors[last] = factor
-                    if factor != 1.0:
-                        value *= factor
-                        if value < 1e-12:
-                            value = 0.0
-                        counter._value = value
-                counter._last = now
-            out[kind] = value
+        for kind, value in self.sums.items():
+            value *= factor
+            out[kind] = value if value >= _ZERO else 0.0
         return out
 
-    def reset(self, now: float) -> None:
-        for counter in self.counters.values():
-            counter.reset(now)
+    def reset(self) -> None:
+        self.landmark = self.clock.landmark
+        self.sums = dict.fromkeys(OP_KINDS, 0.0)
 
     def absorb(self, other: "LoadCounters", now: float,
                fraction: float = 1.0) -> None:
-        """Add *fraction* of *other*'s current values (used on migration:
-        the importer inherits the popularity of what it imported)."""
-        for kind in OP_KINDS:
-            amount = other.get(kind, now) * fraction
-            if amount > 0:
-                self.counters[kind].hit(now, amount)
-
-    def scale(self, factor: float, now: float) -> None:
-        """Multiply all counters by *factor* (exporter sheds popularity)."""
-        for counter in self.counters.values():
-            counter.reset(now, counter.get(now) * factor)
+        """Add *fraction* of *other*'s values at *now* (a split hands each
+        child dirfrag its share of the parent frag's popularity)."""
+        for kind, value in other.snapshot(now).items():
+            if value > 0:
+                self.hit(kind, now, value * fraction)

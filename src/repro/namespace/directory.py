@@ -1,10 +1,11 @@
-"""Directories: inodes that hold dirfrags and per-directory load counters."""
+"""Directories: inodes that hold dirfrags, whose counters sum to the
+directory's load."""
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .counters import LoadCounters
+from .counters import OP_KINDS, DecayClock
 from .dirfrag import _AUTH_EPOCH, DirFrag, FragId, bump_auth_epoch, name_hash
 from .inode import Inode
 
@@ -15,7 +16,7 @@ DEFAULT_SPLIT_BITS = 3
 
 
 class Directory:
-    """A directory: entries partitioned into dirfrags, plus counters.
+    """A directory: entries partitioned into dirfrags.
 
     Authority (which MDS serves this directory) is inherited from the parent
     unless explicitly set -- explicitly-set directories are the *subtree
@@ -23,20 +24,21 @@ class Directory:
     """
 
     def __init__(self, inode: Inode, parent: Optional["Directory"],
-                 half_life: float = 5.0,
+                 clock: Optional[DecayClock] = None,
                  split_size: int = DEFAULT_SPLIT_SIZE,
                  split_bits: int = DEFAULT_SPLIT_BITS) -> None:
         if not inode.is_dir:
             raise ValueError("directory payload requires a directory inode")
         self.inode = inode
         self.parent = parent
-        self.half_life = half_life
+        #: The decay clock of every counter in the tree (the parent's).
+        self.clock = clock if clock is not None else (
+            parent.clock if parent is not None else DecayClock())
         self.split_size = split_size
         self.split_bits = split_bits
         self.frags: dict[FragId, DirFrag] = {}
         root_frag = FragId(0, 0)
-        self.frags[root_frag] = DirFrag(self, root_frag, half_life)
-        self.counters = LoadCounters(half_life=half_life)
+        self.frags[root_frag] = DirFrag(self, root_frag, self.clock)
         self._auth: Optional[int] = None
         self.subdirs: dict[str, "Directory"] = {}
         #: rank -> last time that rank served an op in this subtree; ranks
@@ -239,7 +241,7 @@ class Directory:
         child_ids = frag.frag_id.split(extra_bits)
         del self.frags[frag.frag_id]
         for child_id in child_ids:
-            child = DirFrag(self, child_id, self.half_life)
+            child = DirFrag(self, child_id, self.clock)
             child.set_auth(frag.explicit_auth)
             self.frags[child_id] = child
             children.append(child)
@@ -279,6 +281,28 @@ class Directory:
         inode = frag.remove(name)
         self.subdirs.pop(name, None)
         return inode
+
+    def load_snapshot(self, now: float,
+                      memo: Optional[dict[int, dict[str, float]]] = None
+                      ) -> dict[str, float]:
+        """Decayed load of this directory's current subtree at *now*: the
+        sum of the snapshots of every dirfrag under it.  Callers reading
+        many directories at one *now* pass one *memo* (keyed by ``id``),
+        so each subtree is summed once, bottom-up."""
+        if memo is None:
+            memo = {}
+        total = memo.get(id(self))
+        if total is None:
+            total = dict.fromkeys(OP_KINDS, 0.0)
+            parts = [frag.counters.snapshot(now)
+                     for frag in self.frags.values()]
+            parts += [child.load_snapshot(now, memo)
+                      for child in self.subdirs.values()]
+            for part in parts:
+                for kind, value in part.items():
+                    total[kind] += value
+            memo[id(self)] = total
+        return total
 
     def readdir(self) -> list[Inode]:
         entries: list[Inode] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .counters import LoadCounters
+from .counters import DecayClock, LoadCounters
 from .inode import Inode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,11 +89,11 @@ class DirFrag:
                  "frozen")
 
     def __init__(self, directory: "Directory", frag_id: FragId,
-                 half_life: float) -> None:
+                 clock: DecayClock) -> None:
         self.directory = directory
         self.frag_id = frag_id
         self.entries: dict[str, Inode] = {}
-        self.counters = LoadCounters(half_life=half_life)
+        self.counters = LoadCounters(clock)
         self._auth: Optional[int] = None  # None -> inherit directory auth
         self.frozen = False  # True while being migrated (two-phase commit)
 
@@ -142,9 +142,6 @@ class DirFrag:
         return iter(self.entries.values())
 
     # -- load -------------------------------------------------------------
-    def record(self, kind: str, now: float, amount: float = 1.0) -> None:
-        self.counters.hit(kind, now, amount)
-
     def load_snapshot(self, now: float) -> dict[str, float]:
         return self.counters.snapshot(now)
 

@@ -9,10 +9,9 @@ on the wrong rank.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterator, Optional
 
-from .counters import DEFAULT_HALF_LIFE, _MIN_DECAY_RATIO
+from .counters import DEFAULT_HALF_LIFE, DecayClock
 from .directory import DEFAULT_SPLIT_BITS, DEFAULT_SPLIT_SIZE, Directory
 from .dirfrag import DirFrag, bump_auth_epoch
 from .inode import Inode
@@ -45,7 +44,9 @@ class Namespace:
                  split_size: int = DEFAULT_SPLIT_SIZE,
                  split_bits: int = DEFAULT_SPLIT_BITS,
                  root_auth: int = 0) -> None:
-        self.half_life = half_life
+        #: One decay clock for every counter of this cluster: the dirfrags'
+        #: and the MDS ranks' own loads.
+        self.clock = DecayClock(half_life)
         self.split_size = split_size
         self.split_bits = split_bits
         # Per-namespace inode numbering keeps runs reproducible: object
@@ -54,7 +55,7 @@ class Namespace:
         import itertools
         self._ino_counter = itertools.count(2)
         root_inode = Inode(name="", is_dir=True, mode=0o755, ino=1)
-        self.root = Directory(root_inode, parent=None, half_life=half_life,
+        self.root = Directory(root_inode, parent=None, clock=self.clock,
                               split_size=split_size, split_bits=split_bits)
         self.root.set_auth(root_auth)
         self.inode_count = 1
@@ -122,7 +123,7 @@ class Namespace:
         parent, name = self.parent_of(path)
         inode = Inode(name=name, is_dir=True, mode=mode, ctime=now,
                       mtime=now, atime=now, ino=next(self._ino_counter))
-        directory = Directory(inode, parent, half_life=self.half_life,
+        directory = Directory(inode, parent, clock=self.clock,
                               split_size=self.split_size,
                               split_bits=self.split_bits)
         parent.link(inode)
@@ -206,11 +207,12 @@ class Namespace:
     # -- accounting ------------------------------------------------------
     def record_hit(self, directory: Directory, name: Optional[str],
                    kind: str, now: float, amount: float = 1.0) -> DirFrag:
-        """Charge an op against a dirfrag and every ancestor directory.
+        """Charge an op against the dirfrag of *name* in *directory*.
 
         Paper §2: counters "are stored in the directories and are updated by
         the MDS whenever a namespace operation hits that directory or any of
-        its children."
+        its children."  Only the dirfrag is charged; a directory's load is
+        summed from its subtree's dirfrags (:meth:`Directory.load_snapshot`).
         """
         frag = (directory.frag_for_name(name) if name is not None
                 else next(iter(directory.frags.values())))
@@ -221,28 +223,14 @@ class Namespace:
     def record_frag_hit(frag: DirFrag, kind: str, now: float,
                         amount: float = 1.0) -> None:
         """:meth:`record_hit` on an already resolved dirfrag."""
-        # LoadCounters.hit inlined over frag + the whole ancestor chain:
-        # this is the single hottest accounting loop in the simulator
-        # (3+ hits per op).  The arithmetic matches DecayCounter exactly.
-        target = frag
-        node = frag.directory
-        while target is not None:
-            counter = target.counters.counters.get(kind)
-            if counter is None:
-                raise KeyError(f"unknown op kind {kind!r}")
-            last = counter._last
-            if now > last:
-                value = counter._value
-                if value != 0.0:
-                    ratio = (now - last) / counter.half_life
-                    if ratio >= _MIN_DECAY_RATIO:
-                        value *= math.pow(0.5, ratio)
-                        if value < 1e-12:
-                            value = 0.0
-                        counter._value = value
-                counter._last = now
-            counter._value += amount
-            target, node = node, (node.parent if node is not None else None)
+        # LoadCounters.hit inlined: one multiply-add per op.
+        counters = frag.counters
+        clock = counters.clock
+        if now != clock.now:
+            clock.advance(now)
+        if counters.landmark != clock.landmark:
+            counters.rebase()
+        counters.sums[kind] += amount * clock.gain
 
     # -- authority queries ---------------------------------------------------
     def subtree_roots(self, mds: int | None = None) -> list[Directory]:
@@ -281,15 +269,18 @@ class Namespace:
     def heat_map(self, now: float,
                  metaload: Callable[[dict], float] | None = None,
                  max_depth: int | None = None) -> dict[str, float]:
-        """Per-directory heat (Fig 1): decayed load of each directory."""
+        """Per-directory heat (Fig 1): decayed load of each directory's
+        subtree, every subtree summed once."""
         if metaload is None:
             def metaload(snapshot: dict) -> float:
                 return snapshot["IRD"] + snapshot["IWR"]
+        loads: dict[int, dict[str, float]] = {}
         heat: dict[str, float] = {}
         for directory in self.root.walk():
             if max_depth is not None and directory.depth() > max_depth:
                 continue
-            heat[directory.path()] = metaload(directory.counters.snapshot(now))
+            heat[directory.path()] = metaload(
+                directory.load_snapshot(now, loads))
         return heat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

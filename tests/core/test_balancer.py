@@ -155,7 +155,7 @@ class TestNamespacePartitioning:
         now = cluster.engine.now
         for frag in d.frags.values():
             frag.set_auth(1)
-            frag.record("IWR", now, 50.0)
+            cluster.namespace.record_frag_hit(frag, "IWR", now, 50.0)
         for _ in range(200):
             cluster.mdss[1].auth_load.hit("IWR", now)
             cluster.mdss[1].all_load.hit("IWR", now)

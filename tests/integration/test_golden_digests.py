@@ -49,13 +49,13 @@ EVERY_KIND = "ops/every-kind"
 
 GOLDEN = {
     "create_shared":
-        "998a5ad8f8a2952dc1d530fc38d32b265790bcc8d23986ae1e99df396b4382a5",
+        "954a1468e9991d1f8efb3b68d6982a28f83941ed26e70a8ff4a360ddbffdbb86",
     "zipf_read":
-        "e57f4f6d21ac5133a3559ce957cc7e7e43e90e2f3997bd8556192af7117fc6b8",
+        "917b7b6e17b6c271bc385b8ff9c4a11199cb0487ad5d00e6c0a64f3f57e6be82",
     "compile":
-        "02b039997a8615b4189a2e157d49daf54122cdf0f2859f8aef2fb234ff940862",
+        "8ffb5c0c6c7d95d5aae8d08b4cf7f67793b62b6d588a60da708d1162a764b357",
     "scale20":
-        "f3a5c57b6b5a99faf5973508d4f9754e18b3312111f75ccc186cd858c352356c",
+        "178391ac3d03adfb0945794996cb804a4b3486f3c1a52c4602822441a2496dc6",
     "policy/create/none":
         "12caa39344ac00dba3ede740296230536105e244dbc99de6c02b46060470f73b",
     "policy/create/cephfs-original":
@@ -69,9 +69,9 @@ GOLDEN = {
     "policy/zipf/greedy-spill":
         "5d0f0eccecef8c16bbf5e72b7b0b3cd6c5c704aba74f71be9146b481895af053",
     LIFECYCLE:
-        "cd02a6502dc07fa1536adb52d3c0f7baa78af7d16459f7ddba997fd9cc85bf0d",
+        "23123a0be9ae6d7f3531e27299930e38b5d549b20403cf920076340f18bcf2c7",
     EVERY_KIND:
-        "3c162219e4934951f6dc2fd275f2f959f34a86ed69518c5513705f826e48acf9",
+        "20ce58d48625a1445267d68dd11687e85f144137748bff526a5db18a8b59c7fd",
 }
 
 

@@ -9,12 +9,14 @@ coroutine resume.  A ceiling on all calls per op into ``repro`` covers
 the four golden scenario shapes, so a change that adds work anywhere on
 the op path (an unconditional observer call, say) fails here; a second
 ceiling on calls into ``mds/server.py`` keeps the MDS request path
-straight-line (one handler per op, guards inline).
+straight-line (one handler per op, guards inline), and a third on
+``math.pow`` keeps popularity counting at one decay weight per timestamp.
 """
 
 from __future__ import annotations
 
 import cProfile
+import functools
 import os
 import pstats
 
@@ -34,13 +36,23 @@ INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 #: Calls per op into ``repro`` for each golden scenario shape: the count
 #: recorded when the ceiling was set, plus 2%.
 CALLS_PER_OP_CEILING = {
-    "create_shared": 42.21 * 1.02,
-    "zipf_read": 40.92 * 1.02,
-    "compile": 53.49 * 1.02,
-    "scale20": 174.01 * 1.02,
+    "create_shared": 41.19 * 1.02,
+    "zipf_read": 39.91 * 1.02,
+    "compile": 52.60 * 1.02,
+    "scale20": 173.29 * 1.02,
 }
 #: Calls per op into ``mds/server.py`` for the create shape, the same way.
 SERVER_CALLS_PER_OP_CEILING = 5.49 * 1.02
+#: ``math.pow`` calls per op, the same way.  A counter hit pays one per
+#: distinct timestamp, and every op runs at its own time; a read pays one
+#: per new instant, which on scale20's 20 heartbeating ranks and ~2000 ops
+#: adds about 0.1 per op.
+POW_CALLS_PER_OP_CEILING = {
+    "create_shared": 1.003 * 1.02,
+    "zipf_read": 1.011 * 1.02,
+    "compile": 1.090 * 1.02,
+    "scale20": 1.119 * 1.02,
+}
 
 
 def profiled_run(policy: str | None):
@@ -108,21 +120,34 @@ def test_client_ops_resume_no_coroutines():
     assert calls.get(("sim/engine.py", "_resume"), 0) == 0
 
 
-def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
-    """Calls per op into functions in files starting with *prefix* (all
-    of ``repro`` by default) for one scenario run."""
+@functools.lru_cache(maxsize=None)
+def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int]:
+    """``(calls by (file, function), ops)`` of one scenario run."""
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
     profile = cProfile.Profile()
     profile.enable()
     cluster.run_workload(workload)
     profile.disable()
-    calls = sum(
-        stats[1]
-        for (filename, _line, func), stats in pstats.Stats(profile).stats.items()
-        if filename.startswith(prefix) and func not in INLINED_FRAMES
-    )
-    return calls / workload.total_ops()
+    calls: dict[tuple[str, str], int] = {}
+    for (filename, _line, func), stats in pstats.Stats(profile).stats.items():
+        calls[(filename, func)] = calls.get((filename, func), 0) + stats[1]
+    return calls, workload.total_ops()
+
+
+def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
+    """Calls per op into functions in files starting with *prefix* (all
+    of ``repro`` by default) for one scenario run."""
+    calls, ops = scenario_calls(name)
+    return sum(count for (filename, func), count in calls.items()
+               if filename.startswith(prefix)
+               and func not in INLINED_FRAMES) / ops
+
+
+def pow_calls_per_op(name: str) -> float:
+    """``math.pow`` calls per op for one scenario run."""
+    calls, ops = scenario_calls(name)
+    return calls.get(("~", "<built-in method math.pow>"), 0) / ops
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
@@ -135,10 +160,17 @@ def test_server_calls_per_op_stay_under_ceiling():
             <= SERVER_CALLS_PER_OP_CEILING)
 
 
+@pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
+def test_pow_calls_per_op_stay_under_ceiling(name):
+    assert pow_calls_per_op(name) <= POW_CALLS_PER_OP_CEILING[name]
+
+
 if __name__ == "__main__":
     for shape in sorted(CALLS_PER_OP_CEILING):
         print(f"{shape}: {calls_per_op(shape):.2f} calls/op "
-              f"(ceiling {CALLS_PER_OP_CEILING[shape]:.2f})")
+              f"(ceiling {CALLS_PER_OP_CEILING[shape]:.2f}), "
+              f"{pow_calls_per_op(shape):.3f} math.pow/op "
+              f"(ceiling {POW_CALLS_PER_OP_CEILING[shape]:.3f})")
     print(f"create_shared mds/server.py: "
           f"{calls_per_op('create_shared', SERVER_FILE):.2f} calls/op "
           f"(ceiling {SERVER_CALLS_PER_OP_CEILING:.2f})")

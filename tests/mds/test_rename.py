@@ -149,4 +149,4 @@ class TestMdsRename:
         cluster.namespace.create("/d/f")
         issue(cluster, OpKind.RENAME, "/d/f", dst="/d/g")
         d = cluster.namespace.resolve_dir("/d")
-        assert d.counters.get("IWR", cluster.engine.now) > 0
+        assert d.load_snapshot(cluster.engine.now)["IWR"] > 0

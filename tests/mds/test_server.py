@@ -89,7 +89,7 @@ class TestServing:
         cluster.namespace.mkdirs("/d")
         issue(cluster, OpKind.CREATE, "/d/f")
         d = cluster.namespace.resolve_dir("/d")
-        assert d.counters.get("IWR", cluster.engine.now) > 0
+        assert d.load_snapshot(cluster.engine.now)["IWR"] > 0
 
     def test_ops_served_metric(self):
         cluster = SimulatedCluster(make_config(num_mds=1))

@@ -25,7 +25,7 @@ class TestStoreCommits:
             issue(cluster, OpKind.CREATE, f"/d/f{i}")
         assert cluster.metrics.mds(0).stores == 2
         d = cluster.namespace.resolve_dir("/d")
-        assert d.counters.get("STORE", cluster.engine.now) > 0
+        assert d.load_snapshot(cluster.engine.now)["STORE"] > 0
 
     def test_store_writes_to_rados(self):
         cluster = SimulatedCluster(make_config(num_mds=1, store_every=5))
@@ -63,7 +63,7 @@ class TestCarriedDirfrag:
         live = d.frag_for_name("new")
         assert live.get("new") is not None
         assert cluster.namespace.resolve_entry("/d/new").parent is d
-        assert live.counters.get("IWR", cluster.engine.now) > 0
+        assert live.load_snapshot(cluster.engine.now)["IWR"] > 0
         assert carried.get("new") is None
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.namespace.directory import Directory
 from repro.namespace.inode import Inode
+from repro.namespace.tree import Namespace
 
 
 def make_root(split_size=10, split_bits=3):
@@ -85,7 +86,7 @@ class TestFragmentation:
         for i in range(32):
             root.link(Inode(name=f"f{i}", is_dir=False))
         frag = next(iter(root.frags.values()))
-        frag.record("IWR", 10.0, 100.0)
+        Namespace.record_frag_hit(frag, "IWR", 10.0, 100.0)
         root.fragment(now=10.0)
         total = sum(f.load_snapshot(10.0)["IWR"] for f in root.frags.values())
         assert total == pytest.approx(100.0, rel=0.01)
@@ -97,7 +98,7 @@ class TestFragmentation:
         for i in range(16):
             root.link(Inode(name=f"f{i}", is_dir=False))
         frag = next(iter(root.frags.values()))
-        frag.record("IWR", 100.0, 64.0)
+        Namespace.record_frag_hit(frag, "IWR", 100.0, 64.0)
         root.fragment(now=100.0)
         total = sum(f.load_snapshot(100.0)["IWR"]
                     for f in root.frags.values())

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.namespace.directory import Directory
 from repro.namespace.dirfrag import DirFrag, FragId, name_hash
 from repro.namespace.inode import Inode
+from repro.namespace.tree import Namespace
 
 
 def make_dir(split_size=100):
@@ -107,7 +108,7 @@ class TestDirFrag:
     def test_record_load(self):
         directory = make_dir()
         frag = next(iter(directory.frags.values()))
-        frag.record("IWR", 0.0)
+        Namespace.record_frag_hit(frag, "IWR", 0.0)
         assert frag.load_snapshot(0.0)["IWR"] == pytest.approx(1.0)
 
     def test_name_hash_stable(self):

@@ -9,17 +9,26 @@ the memoized frag lookup.
 
 Each example starts from a small tree with two subtree owners and
 applies a random sequence of mkdir / create / rename / unlink / set_auth /
-frag set_auth / fragment / clear_descendant_auth steps.  After every
-step, every memoized view of every live directory is read (which also
-refills the memos) and compared with a reference view computed here from
-the raw tree links and explicit auths.
+frag set_auth / fragment / clear_descendant_auth / dirfrag hit steps.
+After every step, every memoized view of every live directory is read
+(which also refills the memos) and compared with a reference view
+computed here from the raw tree links and explicit auths.  A directory's
+load is the sum over the dirfrags now under it, so the same walk checks
+it against a from-scratch sum.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import SimulatedCluster
+from repro.namespace.counters import OP_KINDS
+from repro.namespace.directory import Directory
 from repro.namespace.dirfrag import name_hash
 from repro.namespace.tree import Namespace
+from tests.core.test_balancer import exchange_heartbeats, spill_policy
+from tests.conftest import make_config
 
 DIR_NAMES = ("a", "b", "c", "d")
 PROBES = tuple(f"p{i}" for i in range(16))
@@ -28,7 +37,11 @@ PROBES = tuple(f"p{i}" for i in range(16))
 RANKS = (1, 2, 3, 0)
 MAX_FRAG_BITS = 5
 STEPS = ("mkdir", "mkdir", "create", "rename", "rename", "unlink",
-         "set_auth", "set_frag_auth", "fragment", "clear_descendant_auth")
+         "set_auth", "set_frag_auth", "fragment", "clear_descendant_auth",
+         "hit", "hit", "hit")
+#: Simulated seconds per step, at a 0.5 s half-life: a 25-step example
+#: spans 150 half-lives and moves the decay landmark twice.
+STEP_SECONDS = 3.0
 
 
 def ref_path(directory) -> str:
@@ -87,8 +100,29 @@ def live_dirs(namespace) -> list:
     return sorted(found, key=ref_path)
 
 
-def check_views(namespace, gone: set[str]) -> None:
+def ref_load(directory, now: float) -> dict[str, float]:
+    """Sum of the snapshots of every dirfrag now under *directory*."""
+    frags = []
+    stack = [directory]
+    while stack:
+        node = stack.pop()
+        frags.extend(node.frags.values())
+        stack.extend(node.subdirs.values())
+    total = dict.fromkeys(OP_KINDS, 0.0)
+    for frag in frags:
+        for kind, value in frag.load_snapshot(now).items():
+            total[kind] += value
+    return total
+
+
+def check_views(namespace, gone: set[str], now: float = 0.0) -> None:
+    loads: dict[int, dict[str, float]] = {}
     for directory in live_dirs(namespace):
+        expected = ref_load(directory, now)
+        assert directory.load_snapshot(now) == pytest.approx(expected,
+                                                              rel=1e-12)
+        assert directory.load_snapshot(now, loads) == pytest.approx(
+            expected, rel=1e-12)
         path = ref_path(directory)
         assert namespace.resolve_dir(path) is directory
         assert directory.path() == path
@@ -115,7 +149,8 @@ def free_name(directory):
                  if directory.lookup(name) is None), None)
 
 
-def apply_step(namespace, data, step: str, serial: int) -> None:
+def apply_step(namespace, data, step: str, serial: int,
+               now: float = 0.0) -> None:
     dirs = live_dirs(namespace)
     if step in ("rename", "unlink"):
         if len(dirs) == 1:
@@ -148,25 +183,30 @@ def apply_step(namespace, data, step: str, serial: int) -> None:
         frag = data.draw(st.sampled_from(list(target.frags.values())))
         extra = data.draw(st.integers(1, 2))
         if frag.frag_id.bits + extra <= MAX_FRAG_BITS:
-            target.fragment(frag=frag, extra_bits=extra)
+            target.fragment(frag=frag, extra_bits=extra, now=now)
     elif step == "clear_descendant_auth":
         target.clear_descendant_auth()
+    elif step == "hit":
+        frag = data.draw(st.sampled_from(list(target.frags.values())))
+        namespace.record_frag_hit(frag, data.draw(st.sampled_from(OP_KINDS)),
+                                  now, data.draw(st.floats(0.0, 100.0)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_memos_match_reference_walks(data):
-    namespace = Namespace(split_size=10**9)
+    namespace = Namespace(half_life=0.5, split_size=10**9)
     namespace.mkdirs("/a/b/c")
     namespace.mkdirs("/b/a")
     namespace.mkdirs("/c").set_auth(1)
     gone: set[str] = set()
     check_views(namespace, gone)
     for serial in range(data.draw(st.integers(1, 25))):
+        now = serial * STEP_SECONDS
         gone |= {ref_path(directory) for directory in live_dirs(namespace)}
         apply_step(namespace, data, data.draw(st.sampled_from(STEPS)),
-                   serial)
-        check_views(namespace, gone)
+                   serial, now)
+        check_views(namespace, gone, now)
 
 
 def test_fragment_drops_memoized_frag_lookup():
@@ -179,3 +219,34 @@ def test_fragment_drops_memoized_frag_lookup():
     for name in PROBES:
         assert d.frag_for_name(name) is ref_frag_for_name(d, name)
         assert d.lookup(name) is not None
+
+
+def test_balancer_tick_sums_each_directory_once(monkeypatch):
+    """A tick that drills down through a loaded tree reads every
+    directory's load from one bottom-up pass: each subtree is summed at
+    most once."""
+    cluster = SimulatedCluster(make_config(num_mds=2), policy=spill_policy())
+    namespace = cluster.namespace
+    now = cluster.engine.now
+    for path in ("/big/a/x", "/big/a/y", "/big/b/z", "/small"):
+        leaf = namespace.mkdirs(path)
+        for node in (leaf, leaf.parent):
+            for frag in node.frags.values():
+                namespace.record_frag_hit(frag, "IWR", now, 40.0)
+    for _ in range(300):
+        cluster.mdss[0].auth_load.hit("IWR", now)
+        cluster.mdss[0].all_load.hit("IWR", now)
+    exchange_heartbeats(cluster)
+    summed: Counter = Counter()
+    original = Directory.load_snapshot
+
+    def counting(self, at, memo=None):
+        if memo is None or id(self) not in memo:
+            summed[self.path()] += 1
+        return original(self, at, memo)
+
+    monkeypatch.setattr(Directory, "load_snapshot", counting)
+    decision = cluster.balancer.tick(cluster.mdss[0])
+    assert decision.went and decision.exports
+    assert {"/", "/big", "/big/a"} <= set(summed)
+    assert max(summed.values()) == 1

@@ -82,7 +82,7 @@ class TestLoadAccountingProperties:
             target = a if index % 2 == 0 else b
             namespace.record_hit(target, None, kind, now=0.0)
         total_at_root = sum(
-            namespace.root.counters.get(kind, 0.0)
+            namespace.root.load_snapshot(0.0)[kind]
             for kind in ("IRD", "IWR", "READDIR")
         )
         assert round(total_at_root) == len(hits)

@@ -90,10 +90,10 @@ class TestAccounting:
         namespace = Namespace(half_life=5.0)
         d = namespace.mkdirs("/a/b")
         namespace.record_hit(d, "f", "IWR", now=0.0)
-        assert d.counters.get("IWR", 0.0) == pytest.approx(1.0)
+        assert d.load_snapshot(0.0)["IWR"] == pytest.approx(1.0)
         a = namespace.resolve_dir("/a")
-        assert a.counters.get("IWR", 0.0) == pytest.approx(1.0)
-        assert namespace.root.counters.get("IWR", 0.0) == pytest.approx(1.0)
+        assert a.load_snapshot(0.0)["IWR"] == pytest.approx(1.0)
+        assert namespace.root.load_snapshot(0.0)["IWR"] == pytest.approx(1.0)
 
     def test_record_hit_lands_in_right_frag(self):
         namespace = Namespace(split_size=4, split_bits=2)
