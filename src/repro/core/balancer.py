@@ -2,17 +2,20 @@
 
 Runs once per heartbeat tick on each MDS (paper Fig 2's "migrate?" box):
 
-1. score every rank with the policy's ``mds_bal_mdsload`` formula over the
-   (stale) heartbeat table;
-2. execute the ``when``/``where`` decision chunk in the Mantle environment;
-3. if the policy produced ``targets``, partition the namespace -- walking
+1. run the policy's hooks once (:func:`~repro.core.environment.run_hooks`):
+   score every rank with ``mds_bal_mdsload`` over the (stale) heartbeat
+   table, then execute the ``when``/``where`` decision chunk in the Mantle
+   environment;
+2. if the policy produced ``targets``, partition the namespace -- walking
    from this rank's subtree roots downward, racing the policy's dirfrag
    selectors against each target load (§3.2 "How Much");
-4. hand the chosen export units to the migration mechanism.
+3. hand the chosen export units to the migration mechanism.
 
 Any Lua error or budget blow-up in injected code aborts the tick without
 touching the cluster -- the decoupling safety property the paper argues
-for.
+for.  A metaload that raises during the partition walk stops further
+exports that tick; the error counts toward the circuit breaker like any
+other.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from ..luapolicy.errors import LuaError
 from ..mds.migration import ExportUnit
 from ..namespace.directory import Directory
 from .api import MantlePolicy
-from .environment import build_decision_bindings, extract_targets
+from .environment import HookError, run_hooks
 from .selectors import choose_best
 from .state import BalancerState
 
@@ -94,7 +97,6 @@ class MantleBalancer:
         self.policy = policy
         self.state = state or BalancerState()
         self.metaload_fn = policy.metaload_fn()
-        self.mdsload_fn = policy.mdsload_fn()
         self.decisions: list[BalanceDecision] = []
         self.errors = 0
         self.error_threshold = error_threshold
@@ -130,7 +132,10 @@ class MantleBalancer:
         if self.events is not None:
             self.events(now, kind, rank, detail)
 
-    def _record_error(self, now: float, rank: int) -> None:
+    def _record_error(self, decision: BalanceDecision, now: float,
+                      error: str) -> None:
+        decision.error = error
+        rank = decision.rank
         self.errors += 1
         if self.breaker == "probation":
             self._trip(now, rank, permanent=True)
@@ -149,7 +154,6 @@ class MantleBalancer:
         self._clean_fallback_ticks = 0
         self._active = fallback
         self.metaload_fn = fallback.metaload_fn()
-        self.mdsload_fn = fallback.mdsload_fn()
         if permanent:
             self._emit(now, "breaker-permanent", rank,
                        f"policy '{self.policy.name}' failed probation; "
@@ -163,7 +167,6 @@ class MantleBalancer:
         self.breaker = "probation"
         self._active = self.policy
         self.metaload_fn = self.policy.metaload_fn()
-        self.mdsload_fn = self.policy.mdsload_fn()
         self._emit(now, "breaker-probation", rank,
                    f"re-trying policy '{self.policy.name}' after "
                    f"{self._clean_fallback_ticks} clean fallback ticks")
@@ -228,23 +231,7 @@ class MantleBalancer:
             decision.skipped = "no live peers"
             return
 
-        mds_metrics = self._score_ranks(mds, num_ranks, alive, decision)
-        if mds_metrics is None:
-            return
-
-        targets = self._run_decision(mds, mds_metrics, alive, decision)
-        if not targets:
-            return
-        decision.went = True
-        decision.targets = dict(targets)
-
-        self._ship(mds, targets, decision)
-
-    # -- step 1: score all ranks ------------------------------------------
-    def _score_ranks(self, mds: "MdsServer", num_ranks: int,
-                     alive: set[int],
-                     decision: BalanceDecision) -> Optional[list[dict]]:
-        metrics_list: list[dict] = []
+        mds_metrics = []
         for rank in range(num_ranks):
             beat = mds.hb_table.get(rank)
             if rank in alive and beat is not None:
@@ -254,59 +241,30 @@ class MantleBalancer:
                 # Dead rank: zeroed metrics, flagged for the policy.
                 metrics = {"auth": 0.0, "all": 0.0, "cpu": 0.0, "mem": 0.0,
                            "q": 0.0, "req": 0.0, "alive": 0.0}
-            metrics_list.append(metrics)
-        try:
-            for rank, metrics in enumerate(metrics_list):
-                if metrics["alive"]:
-                    metrics["load"] = self.mdsload_fn(metrics_list, rank)
-                else:
-                    metrics["load"] = 0.0
-        except LuaError as exc:
-            self._record_error(mds.engine.now, mds.rank)
-            decision.error = f"mdsload: {exc}"
-            return None
-        return metrics_list
-
-    # -- step 2: when/where decision ---------------------------------------
-    def _run_decision(self, mds: "MdsServer", mds_metrics: list[dict],
-                      alive: set[int],
-                      decision: BalanceDecision) -> dict[int, float]:
-        now = mds.engine.now
-        wrstate, rdstate = self.state.bound_functions(mds.rank)
-        # Snapshot once and share; within one tick `now` is fixed, so the
-        # repeated snapshots the old code took were bit-identical anyway.
-        local_counters = mds.all_load.snapshot(now)
+            mds_metrics.append(metrics)
         auth_counters = mds.auth_load.snapshot(now)
         all_counters = mds.all_load.snapshot(now)
         if self.shadow is not None:
-            # Stash the *exact* inputs this tick decided on, so the shadow
-            # evaluates its candidate against identical bindings.
-            self._tick_inputs = (mds_metrics, local_counters,
-                                 auth_counters, all_counters)
-        bindings = build_decision_bindings(
-            whoami=mds.rank,
-            mds_metrics=mds_metrics,
-            local_counters=local_counters,
-            auth_metaload=self.metaload_fn(auth_counters),
-            all_metaload=self.metaload_fn(all_counters),
-            wrstate=wrstate,
-            rdstate=rdstate,
-        )
+            # The shadow judges its candidate on exactly these inputs.
+            self._tick_inputs = (mds_metrics, auth_counters, all_counters)
         try:
-            result = self._active.decision_chunk().run(bindings)
+            _go, targets = run_hooks(self._active, mds.rank, mds_metrics,
+                                     auth_counters, all_counters, self.state)
+        except HookError as exc:
+            self._record_error(decision, now, str(exc))
+            if exc.hook == "mdsload":
+                self._tick_inputs = None  # no environment was bound
+            return
+        if not targets:
+            return
+        decision.went = True
+        decision.targets = dict(targets)
+        try:
+            self._ship(mds, targets, decision)
         except LuaError as exc:
-            self._record_error(now, mds.rank)
-            decision.error = f"decision: {exc}"
-            return {}
-        go = result.global_value("go")
-        if go is None or go is False:
-            return {}
-        raw_targets = result.python_value("targets")
-        targets = extract_targets(raw_targets, len(mds_metrics))
-        targets.pop(mds.rank, None)
-        # Never ship anything to a dead rank, whatever the policy says.
-        return {rank: load for rank, load in targets.items()
-                if rank in alive}
+            # A metaload that raises while partitioning stops the exports;
+            # the units already handed to the migrator stay handed over.
+            self._record_error(decision, now, f"metaload: {exc}")
 
     # -- step 3+4: partition the namespace and export -----------------------
     def _ship(self, mds: "MdsServer", targets: dict[int, float],

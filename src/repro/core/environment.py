@@ -9,21 +9,26 @@ Builds the global variables and functions injected policies see:
 * functions: ``WRstate(s)``, ``RDstate()``, ``max``, ``min``.
 
 Also compiles load formulas (``mds_bal_metaload``/``mds_bal_mdsload``) into
-fast Python callables: simple arithmetic formulas are transpiled to native
-closures (they run once per dirfrag per tick, which adds up), with the full
-interpreter as the fallback for anything fancier.
+Python closures -- they run once per dirfrag per tick, which adds up -- with
+the interpreter as the fallback for anything outside the arithmetic subset,
+and runs one tick of a policy's hooks (:func:`run_hooks`) for the balancer,
+the shadow evaluator and the validator alike.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..luapolicy import lua_ast as ast
-from ..luapolicy.errors import LuaRuntimeError, LuaSyntaxError
-from ..luapolicy.parser import parse_expression
+from ..luapolicy.errors import LuaError, LuaRuntimeError
+from ..luapolicy.interpreter import ARITH_OPS, arith
 from ..luapolicy.sandbox import compile_load_expression
+from ..luapolicy.values import LuaValue
 from ..namespace.counters import OP_KINDS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .api import MantlePolicy
+    from .state import BalancerState
 
 #: Keys every per-MDS metrics table carries (Table 2, plus the ``alive``
 #: liveness flag: 1.0 for live ranks, 0.0 for ranks declared dead).
@@ -43,204 +48,140 @@ DECISION_BINDINGS: frozenset[str] = frozenset({
 DECISION_FUNCTIONS: frozenset[str] = frozenset({"WRstate", "RDstate"})
 
 
-class _Unsupported(Exception):
-    pass
+class _Interpret(Exception):
+    """The formula needs the interpreter: at compile time, a shape outside
+    the compiled subset; at run time, a read of nil."""
 
 
-class _FastPathMiss(Exception):
-    """A transpiled mdsload hit a case whose semantics (nil propagation)
-    only the interpreter models; the caller re-runs interpreted."""
+def _compile(node: ast.Expr, names: frozenset[str]):
+    """Compile an arithmetic-subset expression over the hook's *names*.
 
-
-#: Sentinel: "this subtree is not a compile-time constant".
-_NOT_CONST = object()
-
-_ARITH_OPS = ("+", "-", "*", "/", "%", "^")
-
-
-def _fold_const(node: ast.Expr):
-    """Value of a constant subtree, or ``_NOT_CONST``.
-
-    Uses the same float operations the runtime closures would, so folding
-    never changes a result bit.  Constant division by zero is deliberately
-    *not* folded: its behaviour (raise vs IEEE inf) belongs to the caller's
-    runtime semantics.
+    The subset is number literals, the metaload counter names, ``i``,
+    ``MDSs[e]["key"]``, unary minus and ``+ - * / % ^``.  Returns a float
+    for a constant subtree (folded with the interpreter's own
+    :func:`arith`) or a closure ``f(scope, i0=0)``: *scope* is the counter
+    snapshot (metaload) or the per-rank metric dicts (mdsload), *i0* the
+    0-based rank being scored.  Raises :class:`_Interpret` for anything
+    else.
     """
     if isinstance(node, ast.NumberLiteral):
         return node.value
-    if isinstance(node, ast.UnaryOp) and node.op == "-":
-        value = _fold_const(node.operand)
-        return _NOT_CONST if value is _NOT_CONST else -value
-    if isinstance(node, ast.BinaryOp) and node.op in _ARITH_OPS:
-        a = _fold_const(node.left)
-        if a is _NOT_CONST:
-            return _NOT_CONST
-        b = _fold_const(node.right)
-        if b is _NOT_CONST:
-            return _NOT_CONST
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _NOT_CONST if b == 0 else a / b
-        if op == "%":
-            return math.nan if b == 0 else a - math.floor(a / b) * b
-        return float(a) ** float(b)
-    return _NOT_CONST
-
-
-def _transpile(node: ast.Expr) -> Callable[[Mapping[str, float]], float]:
-    """Compile a pure-arithmetic expression over named scalars to a closure."""
-    folded = _fold_const(node)
-    if folded is not _NOT_CONST:
-        return lambda env, _value=folded: _value
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and node.name in names:
         name = node.name
-        def lookup(env: Mapping[str, float], _name=name) -> float:
-            try:
-                return float(env[_name])
-            except KeyError as exc:
-                raise LuaRuntimeError(
-                    f"unknown metric {_name!r} in load formula"
-                ) from exc
-        return lookup
+        if name == "i":
+            return lambda scope, i0=0: i0 + 1.0
+        if name in OP_KINDS:
+            return lambda scope, i0=0: float(scope[name])
     if isinstance(node, ast.UnaryOp) and node.op == "-":
-        inner = _transpile(node.operand)
-        return lambda env: -inner(env)
-    if isinstance(node, ast.BinaryOp) and node.op in _ARITH_OPS:
-        left = _transpile(node.left)
-        right = _transpile(node.right)
+        inner = _compile(node.operand, names)
+        if isinstance(inner, float):
+            return -inner
+        return lambda scope, i0=0: -inner(scope, i0)
+    if (isinstance(node, ast.Index) and isinstance(node.key, ast.StringLiteral)
+            and isinstance(node.obj, ast.Index)
+            and isinstance(node.obj.obj, ast.Name)
+            and node.obj.obj.name == "MDSs" and "MDSs" in names):
+        return _compile_mds_read(node.obj.key, node.key.value, names)
+    if isinstance(node, ast.BinaryOp) and node.op in ARITH_OPS:
+        left = _compile(node.left, names)
+        right = _compile(node.right, names)
         op = node.op
+        if isinstance(left, float) and isinstance(right, float):
+            return arith(op, left, right)
+        left, right = _closure(left), _closure(right)
         if op == "+":
-            return lambda env: left(env) + right(env)
+            return lambda scope, i0=0: left(scope, i0) + right(scope, i0)
         if op == "-":
-            return lambda env: left(env) - right(env)
+            return lambda scope, i0=0: left(scope, i0) - right(scope, i0)
         if op == "*":
-            return lambda env: left(env) * right(env)
-        if op == "%":
-            def modulo(env: Mapping[str, float]) -> float:
-                b = right(env)
-                if b == 0:
-                    return math.nan  # Lua modulo semantics
-                a = left(env)
-                return a - math.floor(a / b) * b
-            return modulo
-        if op == "^":
-            return lambda env: float(left(env)) ** float(right(env))
-        def divide(env: Mapping[str, float]) -> float:
-            denominator = right(env)
-            if denominator == 0:
-                raise LuaRuntimeError("division by zero in load formula")
-            return left(env) / denominator
-        return divide
-    raise _Unsupported(type(node).__name__)
+            return lambda scope, i0=0: left(scope, i0) * right(scope, i0)
+        return lambda scope, i0=0: arith(op, left(scope, i0),
+                                         right(scope, i0))
+    raise _Interpret(type(node).__name__)
+
+
+def _closure(compiled):
+    if isinstance(compiled, float):
+        return lambda scope, i0=0: compiled
+    return compiled
+
+
+def _compile_mds_read(index_node: ast.Expr, key: str, names: frozenset[str]):
+    """``MDSs[index]["key"]``: an out-of-range or fractional rank, or a
+    missing key, is a nil read and raises :class:`_Interpret`."""
+    if isinstance(index_node, ast.Name) and index_node.name == "i":
+        def read_own(scope: list[dict], i0: int = 0) -> float:
+            try:
+                return float(scope[i0][key])
+            except KeyError:
+                raise _Interpret(key) from None
+        return read_own
+    index = _closure(_compile(index_node, names))
+
+    def read(scope: list[dict], i0: int = 0) -> float:
+        rank = index(scope, i0)
+        if not 1 <= rank <= len(scope) or rank != int(rank):
+            raise _Interpret(rank)
+        try:
+            return float(scope[int(rank) - 1][key])
+        except KeyError:
+            raise _Interpret(key) from None
+    return read
+
+
+def _compile_formula(source: str, hook: str, names: frozenset[str]):
+    """``fn(scope, i0=0) -> float`` for one load formula.
+
+    The formula is parsed once; a bare expression (or a chunk that is one
+    ``return`` of one expression) in the subset runs as closures, anything
+    else through the interpreter, which also answers every nil read.  A
+    counter snapshot always holds the five op kinds, so a compiled metaload
+    reads no nil and runs unwrapped.
+    """
+    chunk = compile_load_expression(source)
+
+    def interpret(scope, i0: int = 0) -> float:
+        if hook == "metaload":
+            bindings = {kind: scope[kind] for kind in OP_KINDS}
+        else:
+            bindings = {"MDSs": [dict(metrics) for metrics in scope],
+                        "i": i0 + 1}
+        result = chunk.run(bindings)
+        value = (result.returned[0] if result.returned
+                 else result.global_value(hook))
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise LuaRuntimeError(
+                f"{hook} formula produced {value!r}, expected a number"
+            )
+        return float(value)
+
+    statements = chunk.chunk.statements
+    try:
+        if not (len(statements) == 1
+                and isinstance(statements[0], ast.Return)
+                and len(statements[0].values) == 1):
+            raise _Interpret("chunk")
+        fast = _closure(_compile(statements[0].values[0], names))
+    except _Interpret:
+        return interpret
+    if hook == "metaload":
+        return fast
+
+    def run(scope, i0: int = 0) -> float:
+        try:
+            return fast(scope, i0)
+        except _Interpret:
+            return interpret(scope, i0)
+    return run
 
 
 def compile_metaload(source: str) -> Callable[[Mapping[str, float]], float]:
     """Compile a metaload formula into ``fn(counter_snapshot) -> float``.
 
-    The snapshot maps the five op-kind counters (and nothing else) to their
-    decayed values, exactly what :meth:`LoadCounters.snapshot` returns.
+    The snapshot maps the five op-kind counters to their decayed values,
+    exactly what :meth:`LoadCounters.snapshot` returns.
     """
-    text = source.strip()
-    try:
-        expr = parse_expression(text)
-        fast = _transpile(expr)
-    except (_Unsupported, LuaSyntaxError):
-        fast = None
-    if fast is not None:
-        return fast
-    compiled = compile_load_expression(text)
-
-    def slow(snapshot: Mapping[str, float]) -> float:
-        bindings = {kind: float(snapshot.get(kind, 0.0)) for kind in OP_KINDS}
-        result = compiled.run(bindings)
-        if result.returned:
-            value = result.returned[0]
-        else:
-            value = result.global_value("metaload")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise LuaRuntimeError(
-                f"metaload formula produced {value!r}, expected a number"
-            )
-        return float(value)
-
-    return slow
-
-
-def _transpile_mds(node: ast.Expr) -> Callable[[list[dict], int], float]:
-    """Compile an ``MDSs[i]["key"]`` arithmetic formula to a closure.
-
-    The closure reads the live metric dicts -- the same values the
-    interpreter path would copy into Lua tables at call time -- and applies
-    the *interpreter's* arithmetic semantics (IEEE division, Lua modulo),
-    so results are bit-identical.  Anything touching nil (missing keys,
-    out-of-range ranks) raises :class:`_FastPathMiss` and the caller
-    re-runs the interpreter for its exact error behaviour.
-    """
-    folded = _fold_const(node)
-    if folded is not _NOT_CONST:
-        return lambda mdss, i0, _value=folded: _value
-    if isinstance(node, ast.Name):
-        if node.name == "i":
-            return lambda mdss, i0: float(i0 + 1)
-        raise _Unsupported(node.name)
-    if isinstance(node, ast.UnaryOp) and node.op == "-":
-        inner = _transpile_mds(node.operand)
-        return lambda mdss, i0: -inner(mdss, i0)
-    if isinstance(node, ast.Index):
-        key = node.key
-        obj = node.obj
-        if (isinstance(key, ast.StringLiteral) and isinstance(obj, ast.Index)
-                and isinstance(obj.obj, ast.Name) and obj.obj.name == "MDSs"):
-            index_fn = _transpile_mds(obj.key)
-            key_name = key.value
-
-            def fetch(mdss: list[dict], i0: int) -> float:
-                index = index_fn(mdss, i0)
-                rank = int(index)
-                if rank != index or not 1 <= rank <= len(mdss):
-                    raise _FastPathMiss()
-                try:
-                    return float(mdss[rank - 1][key_name])
-                except KeyError:
-                    raise _FastPathMiss() from None
-
-            return fetch
-        raise _Unsupported("Index")
-    if isinstance(node, ast.BinaryOp) and node.op in _ARITH_OPS:
-        left = _transpile_mds(node.left)
-        right = _transpile_mds(node.right)
-        op = node.op
-        if op == "+":
-            return lambda mdss, i0: left(mdss, i0) + right(mdss, i0)
-        if op == "-":
-            return lambda mdss, i0: left(mdss, i0) - right(mdss, i0)
-        if op == "*":
-            return lambda mdss, i0: left(mdss, i0) * right(mdss, i0)
-        if op == "/":
-            def divide(mdss: list[dict], i0: int) -> float:
-                a = left(mdss, i0)
-                b = right(mdss, i0)
-                if b == 0:
-                    # Interpreter semantics: IEEE doubles, never raise.
-                    return math.nan if a == 0 else math.copysign(math.inf, a)
-                return a / b
-            return divide
-        if op == "%":
-            def modulo(mdss: list[dict], i0: int) -> float:
-                a = left(mdss, i0)
-                b = right(mdss, i0)
-                if b == 0:
-                    return math.nan
-                return a - math.floor(a / b) * b
-            return modulo
-        return lambda mdss, i0: float(left(mdss, i0)) ** float(right(mdss, i0))
-    raise _Unsupported(type(node).__name__)
+    return _compile_formula(source, "metaload", METALOAD_BINDINGS)
 
 
 def compile_mdsload(source: str) -> Callable[[list[dict], int], float]:
@@ -250,33 +191,65 @@ def compile_mdsload(source: str) -> Callable[[list[dict], int], float]:
     *i* is the 0-based rank being scored.  Inside the formula, ``MDSs`` and
     ``i`` are 1-based as in Lua.
     """
-    text = source.strip()
-    fast = None
+    return _compile_formula(source, "mdsload", MDSLOAD_BINDINGS)
+
+
+class HookError(Exception):
+    """A policy hook raised during :func:`run_hooks`.
+
+    ``str()`` is ``"<hook>: <error>"`` with *hook* ``mdsload``,
+    ``metaload`` or ``decision``; :attr:`error` is the Lua error itself.
+    """
+
+    def __init__(self, hook: str, error: LuaError) -> None:
+        super().__init__(f"{hook}: {error}")
+        self.hook = hook
+        self.error = error
+
+
+def run_hooks(policy: "MantlePolicy", whoami: int, mds_metrics: list[dict],
+              auth_counters: Mapping[str, float],
+              all_counters: Mapping[str, float],
+              state: "BalancerState") -> tuple[LuaValue, dict[int, float]]:
+    """Run one tick of *policy*'s hooks (paper Fig 2's "migrate?" box).
+
+    Scores the alive ranks with ``mdsload`` in rank order, writing each
+    ``load`` into *mds_metrics* as it goes (dead ranks get 0); binds the
+    Table-2 environment, whose local counters and ``allmetaload`` both come
+    from the one *all_counters* snapshot and whose ``WRstate``/``RDstate``
+    use *whoami*'s slot of *state*; runs when/where.  Returns ``go`` and
+    the 0-based targets, without *whoami* and without dead ranks.  Raises
+    :class:`HookError` naming the hook that failed.
+    """
+    wrstate, rdstate = state.bound_functions(whoami)
+    hook = "mdsload"
     try:
-        fast = _transpile_mds(parse_expression(text))
-    except (_Unsupported, LuaSyntaxError):
-        fast = None
-    compiled = compile_load_expression(text)
-
-    def score(mds_metrics: list[dict], i: int) -> float:
-        if fast is not None:
-            try:
-                return fast(mds_metrics, i)
-            except _FastPathMiss:
-                pass  # nil semantics: let the interpreter produce them
-        mdss = [dict(metrics) for metrics in mds_metrics]
-        result = compiled.run({"MDSs": mdss, "i": i + 1})
-        if result.returned:
-            value = result.returned[0]
-        else:
-            value = result.global_value("mdsload")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise LuaRuntimeError(
-                f"mdsload formula produced {value!r}, expected a number"
-            )
-        return float(value)
-
-    return score
+        mdsload = policy.mdsload_fn()
+        for rank, metrics in enumerate(mds_metrics):
+            metrics["load"] = (mdsload(mds_metrics, rank)
+                               if metrics["alive"] else 0.0)
+        hook = "metaload"
+        metaload = policy.metaload_fn()
+        bindings = build_decision_bindings(
+            whoami=whoami,
+            mds_metrics=mds_metrics,
+            local_counters=all_counters,
+            auth_metaload=metaload(auth_counters),
+            all_metaload=metaload(all_counters),
+            wrstate=wrstate,
+            rdstate=rdstate,
+        )
+        hook = "decision"
+        result = policy.decision_chunk().run(bindings)
+    except LuaError as exc:
+        raise HookError(hook, exc) from exc
+    go = result.global_value("go")
+    if go is None or go is False:
+        return go, {}
+    targets = extract_targets(result.python_value("targets"),
+                              len(mds_metrics))
+    return go, {rank: load for rank, load in targets.items()
+                if rank != whoami and mds_metrics[rank]["alive"]}
 
 
 def build_decision_bindings(

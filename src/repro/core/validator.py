@@ -16,13 +16,9 @@ from ..dataclass import dataclass
 from ..luapolicy.errors import LuaBudgetExceeded, LuaError, LuaSyntaxError
 from ..luapolicy.parser import parse_chunk
 from .api import MantlePolicy
-from .environment import (
-    build_decision_bindings,
-    compile_mdsload,
-    compile_metaload,
-    extract_targets,
-)
+from .environment import HookError, run_hooks
 from .selectors import get_selector
+from .state import BalancerState
 
 #: Budget for validation dry-runs -- deliberately small so an expensive
 #: policy is flagged before it slows real balancing ticks.
@@ -89,6 +85,18 @@ def _attribute_decision_runtime(policy: MantlePolicy,
     return f"where runtime (where:{line - when_lines - 1}): {exc}"
 
 
+def _attribute_hook_error(policy: MantlePolicy, exc: HookError,
+                          num_ranks: int) -> str:
+    """The problem line for a hook that failed the dry-run tick."""
+    if exc.hook != "decision":
+        return str(exc)
+    if isinstance(exc.error, LuaBudgetExceeded):
+        return (f"when/where: decision chunk exceeded {VALIDATION_BUDGET} "
+                f"instructions on a {num_ranks}-rank dry run (unbounded "
+                "loop?)")
+    return _attribute_decision_runtime(policy, exc.error)
+
+
 def _sample_counters() -> dict[str, float]:
     return {"IRD": 120.0, "IWR": 260.0, "READDIR": 8.0,
             "FETCH": 4.0, "STORE": 6.0}
@@ -141,79 +149,45 @@ def validate_policy(policy: MantlePolicy, num_ranks: int = 4,
         except KeyError as exc:
             report.add_problem(f"howmuch: {exc}")
 
-    # 2. Load formulas compile and produce numbers.
+    # 2. The metaload formula compiles and produces a number.
     try:
-        metaload_fn = compile_metaload(policy.metaload)
-        report.sample_metaload = metaload_fn(_sample_counters())
+        report.sample_metaload = policy.metaload_fn()(_sample_counters())
         if report.sample_metaload < 0:
             report.add_warning(
                 "metaload is negative on the sample snapshot"
             )
     except (LuaError, Exception) as exc:  # noqa: BLE001 - report everything
         report.add_problem(f"metaload: {exc}")
-        metaload_fn = None
 
-    cluster = _sample_cluster(num_ranks)
-    try:
-        mdsload_fn = compile_mdsload(policy.mdsload)
-        for rank in range(num_ranks):
-            load = mdsload_fn(cluster, rank)
-            cluster[rank]["load"] = load
-            report.sample_loads.append(load)
-    except (LuaError, Exception) as exc:  # noqa: BLE001
-        report.add_problem(f"mdsload: {exc}")
-        for rank in range(num_ranks):
-            cluster[rank]["load"] = 0.0
-
-    # 3. Decision chunk parses and dry-runs within budget.
+    # 3. One balancing tick dry-runs within budget: the live code path.
     try:
         chunk = policy.decision_chunk()
     except LuaSyntaxError as exc:
         report.add_problem(_attribute_decision_syntax(policy, exc))
         return report
 
-    state_slot: list = [None]
-
-    def wrstate(value=None) -> None:
-        state_slot[0] = value
-
-    def rdstate():
-        return state_slot[0]
-
-    bindings = build_decision_bindings(
-        whoami=0,
-        mds_metrics=cluster,
-        local_counters=_sample_counters(),
-        auth_metaload=report.sample_metaload or 0.0,
-        all_metaload=(report.sample_metaload or 0.0) * 1.1,
-        wrstate=wrstate,
-        rdstate=rdstate,
-    )
-    saved_budget = policy.budget
+    # A believable snapshot pair: everything this rank serves (all) is a
+    # little more than what it has authority over (auth).
+    counters = _sample_counters()
+    all_counters = {kind: value * 1.1 for kind, value in counters.items()}
+    cluster = _sample_cluster(num_ranks)
+    saved_budget = chunk.budget
     try:
         chunk.budget = VALIDATION_BUDGET
-        result = chunk.run(bindings)
-    except LuaBudgetExceeded:
-        report.add_problem(
-            f"when/where: decision chunk exceeded {VALIDATION_BUDGET} "
-            f"instructions on a {num_ranks}-rank dry run (unbounded loop?)"
-        )
-        return report
-    except LuaError as exc:
-        report.add_problem(_attribute_decision_runtime(policy, exc))
+        report.sample_go, report.sample_targets = run_hooks(
+            policy, 0, cluster, counters, all_counters, BalancerState())
+    except HookError as exc:
+        report.add_problem(_attribute_hook_error(policy, exc, num_ranks))
         return report
     finally:
         chunk.budget = saved_budget
+        report.sample_loads = [m["load"] for m in cluster if "load" in m]
 
-    report.sample_go = result.global_value("go")
     if report.sample_go is None:
         report.add_warning(
             "when: the when chunk never set 'go'; the policy will never "
             "migrate"
         )
-    report.sample_targets = extract_targets(
-        result.python_value("targets"), num_ranks
-    )
     if report.sample_go and not report.sample_targets:
         report.add_warning(
             "where: when fired on the sample cluster but where produced "

@@ -5,10 +5,10 @@ policy parse and stay inside its budget?".  The shadow evaluator answers
 the operational question: *what would it have done, tick by tick, on the
 live cluster?*  On every balancing tick the live balancer stashes the
 exact inputs it decided on -- the per-rank metric dicts and the counter
-snapshots -- and the shadow re-runs the candidate's ``mdsload`` and
-``when``/``where`` hooks over copies of them, recording whether the
-candidate would have migrated and where.  Nothing it computes ever touches
-the cluster.
+snapshots -- and the shadow runs the candidate's hooks over copies of them
+through the same :func:`~repro.core.environment.run_hooks` the balancer
+uses, recording whether the candidate would have migrated and where.
+Nothing it computes ever touches the cluster.
 
 Passivity is load-bearing: the shadow judges the candidate on exactly the
 bindings the live policy decided on, so it takes no snapshots of its own
@@ -23,9 +23,8 @@ from typing import ClassVar, Optional
 
 from ..dataclass import dataclass
 from ..core.api import MantlePolicy
-from ..core.environment import build_decision_bindings, extract_targets
+from ..core.environment import HookError, run_hooks
 from ..core.state import BalancerState
-from ..luapolicy.errors import LuaError
 
 
 @dataclass(frozen=True)
@@ -56,59 +55,34 @@ class ShadowEvaluator:
         policy.compile_all()
         self.policy = policy
         self.state = BalancerState()
-        self.metaload_fn = policy.metaload_fn()
-        self.mdsload_fn = policy.mdsload_fn()
 
     def observe(self, now: float, rank: int, live_decision,
                 inputs) -> ShadowTick:
         """Evaluate the candidate on one tick's exact binding inputs.
 
-        *inputs* is ``(mds_metrics, local_counters, auth_counters,
-        all_counters)`` stashed by the live balancer, or ``None`` when the
-        live tick never built bindings (skipped, or errored while scoring)
-        -- the shadow then skips too, for the same reason.
+        *inputs* is ``(mds_metrics, auth_counters, all_counters)`` stashed
+        by the live balancer, or ``None`` when the live tick never built
+        bindings (skipped, or errored while scoring) -- the shadow then
+        skips too, for the same reason.
         """
         if inputs is None:
             return ShadowTick(
                 time=now, rank=rank, live_went=live_decision.went,
                 skipped=live_decision.skipped or "live tick errored",
             )
-        mds_metrics, local_counters, auth_counters, all_counters = inputs
+        mds_metrics, auth_counters, all_counters = inputs
         # Copies: the candidate's mdsload must not clobber the live
         # "load" values other components may still read.
         metrics = [dict(m) for m in mds_metrics]
         try:
-            for i, entry in enumerate(metrics):
-                if entry.get("alive"):
-                    entry["load"] = self.mdsload_fn(metrics, i)
-                else:
-                    entry["load"] = 0.0
-            wrstate, rdstate = self.state.bound_functions(rank)
-            bindings = build_decision_bindings(
-                whoami=rank,
-                mds_metrics=metrics,
-                local_counters=local_counters,
-                auth_metaload=self.metaload_fn(auth_counters),
-                all_metaload=self.metaload_fn(all_counters),
-                wrstate=wrstate,
-                rdstate=rdstate,
-            )
-            result = self.policy.decision_chunk().run(bindings)
-        except LuaError as exc:
+            _go, targets = run_hooks(self.policy, rank, metrics,
+                                     auth_counters, all_counters, self.state)
+        except HookError as exc:
             return ShadowTick(
                 time=now, rank=rank, live_went=live_decision.went,
                 live_targets=dict(live_decision.targets),
-                diverged=live_decision.went, error=str(exc),
+                diverged=live_decision.went, error=str(exc.error),
             )
-        go = result.global_value("go")
-        targets: dict[int, float] = {}
-        if go is not None and go is not False:
-            raw_targets = result.python_value("targets")
-            targets = extract_targets(raw_targets, len(metrics))
-            targets.pop(rank, None)
-            # Mirror the live filter: never target a dead rank.
-            targets = {r: load for r, load in targets.items()
-                       if metrics[r].get("alive")}
         went = bool(targets)
         live_targets = dict(live_decision.targets)
         deltas = {

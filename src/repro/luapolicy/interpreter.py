@@ -406,26 +406,10 @@ class Interpreter:
             return self._concat(left, right, line, col)
         if op in ("<", "<=", ">", ">="):
             return self._compare(op, left, right, line, col)
-        a = self._to_number(left, line, col)
-        b = self._to_number(right, line, col)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                # Lua numbers are IEEE doubles: x/0 is +-inf or nan.
-                return math.nan if a == 0 else math.copysign(math.inf, a)
-            return a / b
-        if op == "%":
-            if b == 0:
-                return math.nan
-            return a - math.floor(a / b) * b  # Lua modulo semantics
-        if op == "^":
-            return float(a) ** float(b)
-        raise LuaRuntimeError(f"unknown operator {op}", line, col)
+        if op not in ARITH_OPS:
+            raise LuaRuntimeError(f"unknown operator {op}", line, col)
+        return arith(op, self._to_number(left, line, col),
+                     self._to_number(right, line, col))
 
     @staticmethod
     def _lua_equals(left: LuaValue, right: LuaValue) -> bool:
@@ -512,9 +496,46 @@ class Interpreter:
         )
 
 
-def _check_arity(name: str, args: tuple, n: int) -> None:
-    if len(args) < n:
-        raise LuaRuntimeError(f"{name} expects at least {n} argument(s)")
+#: The binary operators :func:`arith` evaluates.
+ARITH_OPS = ("+", "-", "*", "/", "%", "^")
+
+
+def arith(op: str, a: float, b: float) -> float:
+    """Lua arithmetic on two numbers: the one definition of ``+ - * / % ^``.
+
+    Lua numbers are IEEE doubles, so no operator raises: ``x/0`` is
+    ``+-inf`` (``nan`` for ``0/0``), ``x % 0`` is ``nan``, modulo is
+    ``a - floor(a/b)*b``, and ``^`` overflows to ``+-inf`` and is ``nan``
+    where the real result is complex.  The load-formula compiler
+    (:mod:`repro.core.environment`) evaluates through this function too.
+    """
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0:
+            if a == 0 or a != a:
+                return math.nan
+            return math.copysign(math.inf,
+                                 math.copysign(1.0, a) * math.copysign(1.0, b))
+        return a / b
+    if op == "%":
+        if b == 0:
+            return math.nan
+        quotient = a / b
+        if math.isfinite(quotient):
+            return a - math.floor(quotient) * b
+        return a - quotient * b  # floor(+-inf) and floor(nan) are themselves
+    try:
+        result = a ** b
+    except (OverflowError, ZeroDivisionError):
+        # |a^b| is too big for a double, or a is zero and b negative.
+        odd = b % 2 == 1
+        return -math.inf if odd and math.copysign(1.0, a) < 0 else math.inf
+    return math.nan if isinstance(result, complex) else result
 
 
 def _build_dispatch(prefix: str) -> dict:

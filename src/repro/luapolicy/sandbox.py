@@ -67,26 +67,6 @@ class PolicyResult:
         return to_python(self.returned[0])
 
 
-#: Parsed-AST memo, keyed by the exact source text.  The balancer compiles
-#: the same policy chunk on every rank and (without this) once per load
-#: formula evaluation; chunks are immutable once parsed, so sharing the
-#: AST across CompiledPolicy instances is safe.  Bounded to keep pathological
-#: callers (fuzzers generating unique sources) from growing it forever.
-_PARSE_CACHE: dict[tuple[str, str], ast.Block] = {}
-_PARSE_CACHE_MAX = 512
-
-
-def _cached_parse(kind: str, source: str, parse) -> ast.Block:
-    key = (kind, source)
-    chunk = _PARSE_CACHE.get(key)
-    if chunk is None:
-        chunk = parse(source)
-        if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
-            _PARSE_CACHE.clear()
-        _PARSE_CACHE[key] = chunk
-    return chunk
-
-
 def compile_policy(source: str, budget: int = DEFAULT_BUDGET) -> CompiledPolicy:
     """Parse *source* as a statement chunk.
 
@@ -94,8 +74,7 @@ def compile_policy(source: str, budget: int = DEFAULT_BUDGET) -> CompiledPolicy:
     validate policies before injecting them (see
     :mod:`repro.core.validator`).
     """
-    return CompiledPolicy(source, _cached_parse("chunk", source, parse_chunk),
-                          budget=budget)
+    return CompiledPolicy(source, parse_chunk(source), budget=budget)
 
 
 def compile_load_expression(source: str,
@@ -108,15 +87,11 @@ def compile_load_expression(source: str,
     ``return (E)``.
     """
     text = source.strip()
-
-    def parse_as_return(src: str) -> ast.Block:
-        expr = parse_expression(src)
-        return ast.Block((ast.Return(getattr(expr, "line", 1), (expr,)),))
-
     try:
-        chunk = _cached_parse("expr", text, parse_as_return)
+        expr = parse_expression(text)
     except LuaSyntaxError:
         return compile_policy(text, budget=budget)
+    chunk = ast.Block((ast.Return(getattr(expr, "line", 1), (expr,)),))
     return CompiledPolicy(text, chunk, budget=budget)
 
 

@@ -80,8 +80,8 @@ def _normalize_key(key: LuaValue) -> LuaValue:
     """Integral float keys collapse to int so ``t[1]`` and ``t[1.0]`` agree."""
     if isinstance(key, bool):
         return _BOOL_KEY[key]
-    if isinstance(key, float) and key == int(key):
-        return int(key)
+    if isinstance(key, float) and key - key == 0 and key == int(key):
+        return int(key)  # finite: int(inf) and int(nan) would raise
     return key
 
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaReply, MetaRequest,
                            OpKind, parse_op_path)
 from ..config import ClusterConfig
+from ..luapolicy.errors import LuaError
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
 from ..namespace.counters import LoadCounters
 from ..namespace.directory import Directory
@@ -654,11 +655,21 @@ class MdsServer:
         if noise > 0:
             # Instantaneous measurement noise (§2.2.2, point 1).
             cpu = max(0.0, cpu * (1.0 + self.rng.normal(0.0, noise)))
+        auth_counters = self.auth_load.snapshot(now)
+        all_counters = self.all_load.snapshot(now)
+        try:
+            auth_metaload = metaload_fn(auth_counters)
+            all_metaload = metaload_fn(all_counters)
+        except LuaError:
+            # A broken policy metaload must not stop the beat: send the
+            # Table 1 values; the balancer tick records the error.
+            auth_metaload = _default_metaload(auth_counters)
+            all_metaload = _default_metaload(all_counters)
         return HeartBeat(
             rank=self.rank,
             sent_at=now,
-            auth_metaload=metaload_fn(self.auth_load.snapshot(now)),
-            all_metaload=metaload_fn(self.all_load.snapshot(now)),
+            auth_metaload=auth_metaload,
+            all_metaload=all_metaload,
             cpu=min(100.0, cpu),
             mem=100.0 * self.cache.fill_fraction,
             queue_length=float(self.station.queue_length),

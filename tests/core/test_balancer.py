@@ -108,6 +108,24 @@ class TestDecisionFlow:
         assert not decision.exports
         assert cluster.balancer.errors == 1
 
+    def test_metaload_error_in_partition_walk_stops_exports(self):
+        # The metaload raises only on units nobody wrote to.  Rank 0's own
+        # counters are hot, so its beat and the bindings evaluate; rank 1's
+        # beat falls back to the Table 1 values; the error surfaces when
+        # the walk scores the cold directory.
+        policy = spill_policy(metaload="IWR / (IWR > 0 and 1 or nil)")
+        cluster = SimulatedCluster(make_config(num_mds=2), policy=policy)
+        cluster.namespace.mkdirs("/hot")
+        cluster.namespace.mkdirs("/cold")
+        heat_up(cluster, "/hot", hits=200)
+        exchange_heartbeats(cluster)
+        assert cluster.mdss[0].hb_table.get(1).all_metaload == 0.0
+        decision = cluster.balancer.tick(cluster.mdss[0])
+        assert decision.went
+        assert decision.error.startswith("metaload: ")
+        assert not decision.exports
+        assert cluster.balancer.errors == 1
+
     def test_need_min_scales_target(self):
         full = self.make_hot_cluster(policy=spill_policy())
         d_full = full.balancer.tick(full.mdss[0])

@@ -20,6 +20,11 @@ def broken_policy():
     return MantlePolicy(name="broken", when="go = MDSs[99]['load'] > 0")
 
 
+def bad_metaload_policy():
+    return MantlePolicy(name="bad-metaload", metaload='"hot"',
+                        when="go = false")
+
+
 def idle_policy():
     return MantlePolicy(name="idle", when="go = false")
 
@@ -53,6 +58,18 @@ class TestRollback:
                                          "greedy-spill"]
         assert log[2].note.startswith("canary failed")
         assert log[2].source == log[0].source
+
+    def test_candidate_with_broken_metaload_rolls_back(self):
+        # The canary rank's beats fall back to the Table 1 metaload; its
+        # ticks record the error, which the canary's health check sees.
+        cluster, controller = run_canary(bad_metaload_policy())
+        assert controller.phase == "rolled-back"
+        assert any("lua errors" in reason for reason in controller.violations)
+        errors = [d.error for d in controller.balancer.decisions if d.error]
+        assert errors
+        assert all(error == "metaload: metaload formula produced 'hot', "
+                   "expected a number" for error in errors)
+        assert all(mds.balancer is cluster.balancer for mds in cluster.mdss)
 
     def test_summary_line_mentions_rollback(self):
         cluster, _controller = run_canary(broken_policy())

@@ -34,7 +34,7 @@ def live(now=1.0, rank=0, went=False, targets=None, skipped=None):
 
 
 def inputs(loads):
-    return (metrics(loads), counters(), counters(), counters())
+    return (metrics(loads), counters(), counters())
 
 
 def spill_policy(threshold=10.0):

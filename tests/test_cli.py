@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.api import MantlePolicy
 from repro.core.policyfile import dump_policy
 from repro.core.policies import greedy_spill_policy
 
@@ -48,6 +49,20 @@ class TestValidate:
 
 
 class TestRun:
+    def test_ratio_metaload_run_finishes(self, tmp_path, capsys):
+        # IWR / IRD divides by zero on every rank that has not read yet:
+        # IEEE inf or nan, as in the interpreter, never an exception.
+        path = tmp_path / "ratio.lua"
+        path.write_text(dump_policy(MantlePolicy(
+            name="ratio", metaload="IWR / IRD", mdsload='MDSs[i]["all"]',
+            when=greedy_spill_policy().when,
+            where=greedy_spill_policy().where, howmuch=("half",))))
+        code = main(["run", "--policy", str(path), "--mds", "2",
+                     "--clients", "4", "--files", "20000", "--shared",
+                     "--split-size", "5000"])
+        assert code == 0
+        assert "[ratio] makespan=" in capsys.readouterr().out
+
     def test_run_create_workload(self, capsys):
         code = main(["run", "--mds", "1", "--clients", "1",
                      "--files", "300", "--seed", "3"])
