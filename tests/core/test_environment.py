@@ -42,6 +42,13 @@ class TestMetaloadCompilation:
         with pytest.raises(LuaRuntimeError):
             fn(snapshot())
 
+    def test_transpiled_matches_interpreter(self):
+        source = "IRD + 2*IWR - READDIR/4"
+        fast = compile_metaload(source)
+        values = snapshot(IRD=3, IWR=5, READDIR=8)
+        slow = compile_load_expression(source).run(values).return_value
+        assert fast(values) == slow
+
     def test_complex_formula_falls_back_to_interpreter(self):
         fn = compile_metaload("max(IRD, IWR) + math.floor(READDIR)")
         assert fn(snapshot(IRD=2, IWR=9, READDIR=3.7)) == 12.0
@@ -50,6 +57,18 @@ class TestMetaloadCompilation:
         fn = compile_metaload('"text"')
         with pytest.raises(LuaRuntimeError):
             fn(snapshot())
+
+    @given(ird=st.floats(0, 1e5), iwr=st.floats(0, 1e5),
+           rdd=st.floats(0, 1e5), fetch=st.floats(0, 1e5),
+           store=st.floats(0, 1e5))
+    def test_transpiler_equivalence_property(self, ird, iwr, rdd, fetch,
+                                             store):
+        source = "IRD + 2*IWR + READDIR + 2*FETCH + 4*STORE"
+        values = snapshot(IRD=ird, IWR=iwr, READDIR=rdd, FETCH=fetch,
+                          STORE=store)
+        fast = compile_metaload(source)(values)
+        slow = compile_load_expression(source).run(values).return_value
+        assert fast == slow
 
 
 class TestMdsloadCompilation:
