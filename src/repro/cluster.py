@@ -30,7 +30,7 @@ from .metrics.heatmap import HeatSampler
 from .metrics.stats import Summary, summarize
 from .namespace.tree import Namespace
 from .rados.cluster import RadosCluster
-from .sim.engine import SimEngine
+from .sim.engine import Completion, SimEngine
 from .sim.network import Network
 from .sim.rng import RngStreams
 from .workloads.base import Workload
@@ -161,6 +161,8 @@ class SimReport(RunRecordViews):
                 faults += " canary=promoted"
             elif "canary-rollback" in kinds:
                 faults += " canary=rolled-back"
+            elif "canary-start" in kinds:
+                faults += " canary=pending"  # still watching at the end
             vetoes = kinds.count("guard-veto")
             if vetoes:
                 faults += f" vetoes={vetoes}"
@@ -190,6 +192,12 @@ def _gc_paused():
         if was_enabled:
             gc.enable()
             gc.collect()
+
+
+def _fail_unless_done(completion: Completion, error: BaseException) -> None:
+    """The workload deadline: fail *completion* unless it already fired."""
+    if not completion.done:
+        completion.fail(error)
 
 
 def _takeover_source(detail: str) -> Optional[int]:
@@ -266,7 +274,6 @@ class SimulatedCluster:
         # Staged-run state (begin_workload / finish_workload).
         self._all_done = None
         self._max_time = 36_000.0
-        self._deadline = None
         self.injector: Optional[FaultInjector] = None
         if fault_schedule is not None and len(fault_schedule) > 0:
             # The dedicated stream keeps no-fault runs byte-identical:
@@ -454,13 +461,10 @@ class SimulatedCluster:
             client.done.add_callback(one_done)
         self._all_done = all_done
         self._max_time = max_time
-        self._deadline = None
         if self.clients:
-            self._deadline = self.engine.schedule(
-                max_time, all_done.fail,
-                RuntimeError(f"workload exceeded {max_time} simulated "
-                             "seconds"),
-            )
+            self.engine.schedule(max_time, _fail_unless_done, all_done,
+                                 RuntimeError(f"workload exceeded {max_time} "
+                                              "simulated seconds"))
 
     def run_shared_prefix(self, until: float) -> None:
         """Stage 2 (optional): run the policy-independent prefix.
@@ -486,7 +490,6 @@ class SimulatedCluster:
                 self.engine.run_until_complete(
                     all_done, max_events=self.config.max_events
                 )
-                self._deadline.cancel()
         return self._report()
 
     def run_for(self, duration: float) -> SimReport:

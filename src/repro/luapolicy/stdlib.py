@@ -13,7 +13,7 @@ import math
 from typing import Iterator
 
 from .errors import LuaRuntimeError
-from .interpreter import Environment
+from .interpreter import Environment, arith
 from .values import (
     LuaTable,
     LuaValue,
@@ -94,18 +94,46 @@ def lua_error(message: LuaValue = None) -> None:
     raise LuaRuntimeError(lua_repr(message))
 
 
+def _finite_or(fn, fallback: float | None = None):
+    """*fn* on finite inputs; *fallback* (default: the input) otherwise."""
+    def wrapped(x: float) -> float:
+        if math.isfinite(x):
+            return fn(x)
+        return x if fallback is None else fallback
+    return wrapped
+
+
+def _sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0 else math.nan
+
+
+def _log(x: float) -> float:
+    if x > 0:
+        return math.log(x)
+    return -math.inf if x == 0 else math.nan
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _math_table() -> LuaTable:
+    # Lua numbers are IEEE doubles and its math library is C's: a domain
+    # error gives nan and an overflow +-inf, where Python's math raises.
     table = LuaTable()
     one_arg = {
-        "floor": lambda x: float(math.floor(x)),
-        "ceil": lambda x: float(math.ceil(x)),
+        "floor": _finite_or(math.floor),
+        "ceil": _finite_or(math.ceil),
         "abs": abs,
-        "sqrt": math.sqrt,
-        "exp": math.exp,
-        "log": math.log,
-        "sin": math.sin,
-        "cos": math.cos,
-        "tan": math.tan,
+        "sqrt": _sqrt,
+        "exp": _exp,
+        "log": _log,
+        "sin": _finite_or(math.sin, math.nan),
+        "cos": _finite_or(math.cos, math.nan),
+        "tan": _finite_or(math.tan, math.nan),
     }
     for name, fn in one_arg.items():
         def wrapper(x: LuaValue = None, _fn=fn, _name=name) -> float:
@@ -117,12 +145,16 @@ def _math_table() -> LuaTable:
     table.set("pi", math.pi)
 
     def math_pow(x: LuaValue = None, y: LuaValue = None) -> float:
-        return _want_number("pow", x) ** _want_number("pow", y)
+        return arith("^", _want_number("pow", x), _want_number("pow", y))
 
     table.set("pow", math_pow)
 
     def math_fmod(x: LuaValue = None, y: LuaValue = None) -> float:
-        return math.fmod(_want_number("fmod", x), _want_number("fmod", y))
+        x = _want_number("fmod", x)
+        y = _want_number("fmod", y)
+        if y == 0 or math.isinf(x):
+            return math.nan
+        return math.fmod(x, y)
 
     table.set("fmod", math_fmod)
     return table

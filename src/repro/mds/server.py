@@ -558,17 +558,16 @@ class MdsServer:
         for peer in self.peers:
             if peer.rank != self.rank:
                 peer.migrator.abort_targeting(self.rank)
-        for job in self.station.drain():
-            payload = job.payload
+        for payload, completion in self.station.drain():
             if (isinstance(payload, tuple) and len(payload) == 2
                     and isinstance(payload[0], MetaRequest)):
                 req, done = payload
                 self._retry_dead(req, done)
-            elif job.completion is not None and not job.completion.done:
+            elif completion is not None and not completion.done:
                 # Internal work (fragmentation, session flushes): anyone
                 # still waiting on it was interrupted above; cancelling is
                 # ignored by their stale wait tokens.
-                job.completion.cancel()
+                completion.cancel()
         self.journal.drop_buffer()
         self.cache.clear()
         self.sessions.reset()
@@ -594,7 +593,6 @@ class MdsServer:
         self.recovered_at = self.engine.now
         self.metrics.restarts += 1
         self.cache.clear()
-        self.station.resume()
 
     # ------------------------------------------------------------------
     # Heartbeats & balancing

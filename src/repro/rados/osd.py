@@ -31,6 +31,8 @@ class Osd:
         self.disk_service = disk_service
         self.journal = FifoStation(engine, f"osd{osd_id}.journal", rng)
         self.disk = FifoStation(engine, f"osd{osd_id}.disk", rng)
+        #: Object size -> (journal, disk) service times scaled to it.
+        self._scaled: dict[int, tuple[ServiceTime, ServiceTime]] = {}
         self.bytes_written = 0
         self.bytes_read = 0
         self.writes = 0
@@ -41,20 +43,27 @@ class Osd:
         disk write proceeds asynchronously (Ceph acks from the journal)."""
         self.writes += 1
         self.bytes_written += size
-        service = self.journal_service.scaled(_size_factor(size))
-        completion = self.journal.submit(("write", obj, size), service)
+        services = self._scaled.get(size) or self._scale(size)
+        completion = self.journal.submit(("write", obj, size), services[0])
         # Async flush to the data disk; nobody waits on it, but it consumes
         # disk time and delays subsequent reads.
-        self.disk.submit(("flush", obj, size),
-                         self.disk_service.scaled(_size_factor(size)),
+        self.disk.submit(("flush", obj, size), services[1],
                          want_completion=False)
         return completion
 
     def read(self, obj: str, size: int) -> Completion:
         self.reads += 1
         self.bytes_read += size
-        service = self.disk_service.scaled(_size_factor(size))
-        return self.disk.submit(("read", obj, size), service)
+        services = self._scaled.get(size) or self._scale(size)
+        return self.disk.submit(("read", obj, size), services[1])
+
+    def _scale(self, size: int) -> tuple[ServiceTime, ServiceTime]:
+        """Build (and keep) the service times for objects of *size*."""
+        factor = _size_factor(size)
+        services = (self.journal_service.scaled(factor),
+                    self.disk_service.scaled(factor))
+        self._scaled[size] = services
+        return services
 
     def stats(self) -> dict[str, Any]:
         return {

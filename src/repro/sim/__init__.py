@@ -5,17 +5,15 @@ network latency model that the CephFS metadata cluster simulation is built
 on.
 """
 
-from .engine import CancelledError, Completion, EventHandle, Process, SimEngine
+from .engine import CancelledError, Completion, Process, SimEngine
 from .network import Network
 from .rng import RngStreams, ServiceTime
-from .stations import FifoStation, Job
+from .stations import FifoStation
 
 __all__ = [
     "CancelledError",
     "Completion",
-    "EventHandle",
     "FifoStation",
-    "Job",
     "Network",
     "Process",
     "RngStreams",

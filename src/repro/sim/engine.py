@@ -11,42 +11,20 @@ Components interact through three primitives:
   written.  Closed-loop clients are plain reply callbacks instead.
 
 The engine is deterministic: ties in time are broken by insertion order.
+An event is one ``(time, seq, fn, args)`` heap tuple with no handle, so an
+event cannot be cancelled; a callback that may have become moot by the
+time it fires checks its own state instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 
 class CancelledError(Exception):
     """Raised inside a process whose awaited completion was cancelled."""
-
-
-class EventHandle:
-    """Handle to a scheduled callback; supports O(1) cancellation.
-
-    The heap itself stores ``(time, seq, handle)`` tuples so ordering is
-    resolved by C-level tuple comparison without calling back into Python;
-    the handle carries the payload and the cancellation flag.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., None],
-                 args: tuple) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Completion:
@@ -206,104 +184,32 @@ class Process:
             )
 
 
-#: Compaction is considered once every this many schedules...
-_COMPACT_EVERY_MASK = 0x3FFF
-#: ...and only bothers when the heap is at least this large.
-_COMPACT_MIN_HEAP = 8192
-
-
-class _PeriodicTimer:
-    """Allocation-free periodic callback: one EventHandle, re-armed in place.
-
-    ``engine.every`` used to build a fresh handle per tick; the heartbeat
-    loop re-arms every 10 simulated seconds on every rank, so reusing the
-    handle keeps the hot loop allocation-free.  Firing order is unchanged:
-    each re-arm consumes the next sequence number exactly as a fresh
-    ``schedule`` call would.
-    """
-
-    __slots__ = ("engine", "interval", "fn", "jitter", "stopped", "handle")
-
-    def __init__(self, engine: "SimEngine", interval: float,
-                 fn: Callable[[], None],
-                 jitter: Callable[[], float] | None) -> None:
-        self.engine = engine
-        self.interval = interval
-        self.fn = fn
-        self.jitter = jitter
-        self.stopped = False
-        self.handle: EventHandle | None = None
-
-    def tick(self) -> None:
-        if self.stopped:
-            return
-        self.fn()
-        delay = self.interval + (self.jitter() if self.jitter else 0.0)
-        engine = self.engine
-        handle = self.handle
-        handle.time = engine.now + max(1e-9, delay)
-        handle.seq = next(engine._seq)
-        heappush(engine._heap, (handle.time, handle.seq, handle))
-
-    def stop(self) -> None:
-        self.stopped = True
-
-
 class SimEngine:
-    """The event loop: heap of (time, seq) ordered callbacks."""
+    """The event loop: a heap of ``(time, seq, fn, args)`` entries.
+
+    ``seq`` is unique, so tuple comparison never reaches ``fn``.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._executed = 0
-        self._scheduled = 0
 
     # -- scheduling -----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None],
-                 *args: Any) -> EventHandle:
+                 *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* simulated seconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        time = self.now + delay
-        seq = next(self._seq)
-        # EventHandle built without the __init__ frame: one handle per
-        # event makes this the most-allocated object in the simulator.
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.fn = fn
-        handle.args = args
-        handle.cancelled = False
-        heappush(self._heap, (time, seq, handle))
-        self._scheduled += 1
-        if (self._scheduled & _COMPACT_EVERY_MASK) == 0 \
-                and len(self._heap) >= _COMPACT_MIN_HEAP:
-            self._maybe_compact()
-        return handle
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap when cancelled entries dominate it.
-
-        Cancelled handles are lazily deleted (skipped on pop); workloads
-        that cancel a lot of far-future events (crash drains, abandoned
-        deadlines) would otherwise keep dead entries resident.  Rebuilding
-        preserves (time, seq) ordering exactly, so execution order -- and
-        therefore results -- cannot change.
-        """
-        heap = self._heap
-        live = [entry for entry in heap if not entry[2].cancelled]
-        if len(live) * 2 <= len(heap):
-            # In place: run loops hold a local alias to the heap list.
-            heap[:] = live
-            heapify(heap)
+        heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def schedule_at(self, time: float, fn: Callable[..., None],
-                    *args: Any) -> EventHandle:
+                    *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated *time*."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        return self.schedule(time - self.now, fn, *args)
+        self.schedule(time - self.now, fn, *args)
 
     def every(self, interval: float, fn: Callable[..., None],
               *, start_after: float | None = None,
@@ -311,10 +217,22 @@ class SimEngine:
         """Run *fn* periodically.  Returns a stop function."""
         if interval <= 0:
             raise ValueError("interval must be positive")
-        timer = _PeriodicTimer(self, interval, fn, jitter)
+        stopped = False
+
+        def tick() -> None:
+            if stopped:
+                return
+            fn()
+            delay = interval + (jitter() if jitter else 0.0)
+            self.schedule(max(1e-9, delay), tick)
+
+        def stop() -> None:
+            nonlocal stopped
+            stopped = True
+
         first = interval if start_after is None else start_after
-        timer.handle = self.schedule(max(0.0, first), timer.tick)
-        return timer.stop
+        self.schedule(max(0.0, first), tick)
+        return stop
 
     # -- futures & processes --------------------------------------------
     def completion(self) -> Completion:
@@ -332,7 +250,7 @@ class SimEngine:
     # -- execution -------------------------------------------------------
     @property
     def pending(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return len(self._heap)
 
     @property
     def events_executed(self) -> int:
@@ -341,34 +259,24 @@ class SimEngine:
     def step(self) -> bool:
         """Execute the next event; returns False when the heap is empty."""
         heap = self._heap
-        while heap:
-            when, _seq, handle = heappop(heap)
-            if handle.cancelled:
-                continue
-            if when < self.now - 1e-12:  # pragma: no cover - invariant
-                raise RuntimeError("time went backwards")
-            self.now = when
-            self._executed += 1
-            handle.fn(*handle.args)
-            return True
-        return False
+        if not heap:
+            return False
+        when, _seq, fn, args = heappop(heap)
+        if when < self.now - 1e-12:  # pragma: no cover - invariant
+            raise RuntimeError("time went backwards")
+        self.now = when
+        self._executed += 1
+        fn(*args)
+        return True
 
     def run_until(self, time: float) -> None:
         """Run all events with timestamp <= *time*; clock ends at *time*."""
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            handle = entry[2]
-            if handle.cancelled:
-                heappop(heap)
-                continue
-            when = entry[0]
-            if when > time:
-                break
-            heappop(heap)
+        while heap and heap[0][0] <= time:
+            when, _seq, fn, args = heappop(heap)
             self.now = when
             self._executed += 1
-            handle.fn(*handle.args)
+            fn(*args)
         self.now = max(self.now, time)
 
     def run_before(self, time: float,
@@ -385,21 +293,13 @@ class SimEngine:
         mid-heap when its completion is done).
         """
         heap = self._heap
-        while heap:
+        while heap and heap[0][0] < time:
             if completion is not None and completion._done:
                 return
-            entry = heap[0]
-            handle = entry[2]
-            if handle.cancelled:
-                heappop(heap)
-                continue
-            when = entry[0]
-            if when >= time:
-                return
-            heappop(heap)
+            when, _seq, fn, args = heappop(heap)
             self.now = when
             self._executed += 1
-            handle.fn(*handle.args)
+            fn(*args)
 
     def run(self, max_events: int | None = None) -> None:
         """Run until the heap drains (or *max_events* fire)."""
@@ -417,17 +317,12 @@ class SimEngine:
         heap = self._heap
         count = 0
         while not completion._done:
-            while True:
-                if not heap:
-                    raise RuntimeError(
-                        "event heap drained before completion fired"
-                    )
-                when, _seq, handle = heappop(heap)
-                if not handle.cancelled:
-                    break
+            if not heap:
+                raise RuntimeError("event heap drained before completion fired")
+            when, _seq, fn, args = heappop(heap)
             self.now = when
             self._executed += 1
-            handle.fn(*handle.args)
+            fn(*args)
             count += 1
             if max_events is not None and count >= max_events:
                 raise RuntimeError(

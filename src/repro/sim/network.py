@@ -13,8 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, EventHandle,
-                     SimEngine)
+from .engine import SimEngine
 
 #: Jitter samples drawn per vectorized RNG call.
 _JITTER_BATCH = 1024
@@ -68,8 +67,7 @@ class Network:
     def deliver(self, handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one network hop."""
         # one_way() and engine.schedule() inlined: deliver runs two to four
-        # times per metadata op, and a delay from here is never negative or
-        # cancelled.  The scheduling bookkeeping matches schedule() exactly.
+        # times per metadata op, and a delay from here is never negative.
         self.messages_sent += 1
         if self.jitter_cv <= 0:
             delay = self.base_latency
@@ -81,19 +79,8 @@ class Network:
             else:
                 delay = self._refill_jitter()
         engine = self.engine
-        time = engine.now + delay
-        seq = next(engine._seq)
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.fn = handler
-        handle.args = args
-        handle.cancelled = False
-        heappush(engine._heap, (time, seq, handle))
-        engine._scheduled += 1
-        if (engine._scheduled & _COMPACT_EVERY_MASK) == 0 \
-                and len(engine._heap) >= _COMPACT_MIN_HEAP:
-            engine._maybe_compact()
+        heappush(engine._heap,
+                 (engine.now + delay, next(engine._seq), handler, args))
 
     def deliver_after(self, extra_delay: float,
                       handler: Callable[..., None], *args: Any) -> None:

@@ -1,9 +1,15 @@
-"""Service stations: FIFO queues in front of one or more servers.
+"""Single-server FIFO service stations.
 
 An MDS CPU, an OSD disk, and the journal device are all stations.  The
 station tracks busy time and queue length so heartbeats can report CPU
 utilisation and queue depth (the ``MDSs[i]["cpu"]`` and ``MDSs[i]["q"]``
 metrics of paper Table 2).
+
+A job's finish time is fixed when it is submitted, by Lindley's
+recursion: it starts at ``max(arrival, previous job's finish)`` and
+finishes one service time later.  So each job is one deque entry and one
+finish event, scheduled at submission; the deque head is the job in
+service.
 """
 
 from __future__ import annotations
@@ -14,27 +20,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, Completion,
-                     EventHandle, SimEngine)
+from .engine import Completion, SimEngine
 from .rng import ServiceTime
 
 
-class Job:
-    """One queued unit of work; ``started_at`` is set when service starts."""
-
-    __slots__ = ("payload", "service", "completion", "enqueued_at",
-                 "started_at")
-
-    def __init__(self, payload: Any, service: float,
-                 completion: Completion, enqueued_at: float) -> None:
-        self.payload = payload
-        self.service = service
-        self.completion = completion
-        self.enqueued_at = enqueued_at
-
-
 class FifoStation:
-    """An M/G/c-style FIFO service station.
+    """A single-server (M/G/1-style) FIFO service station.
 
     ``submit`` returns a :class:`Completion` that fires when the job's
     service finishes.  An optional ``executor`` callback runs at service
@@ -44,20 +35,20 @@ class FifoStation:
 
     def __init__(self, engine: SimEngine, name: str,
                  rng: np.random.Generator,
-                 servers: int = 1,
                  executor: Callable[[Any], Any] | None = None) -> None:
-        if servers < 1:
-            raise ValueError("need at least one server")
         self.engine = engine
         self.name = name
         self.rng = rng
-        self.servers = servers
         self.executor = executor
-        self._queue: deque[Job] = deque()
-        self._busy_servers = 0
-        self._paused = False
-        #: Jobs in service -> their completion events, in start order.
-        self._in_service: dict[Job, EventHandle] = {}
+        #: ``(payload, completion, enqueued_at, started_at, epoch)`` per
+        #: unfinished job, in FIFO order; the head is in service.  The
+        #: entry is also its finish event's argument tuple.
+        self._jobs: deque[tuple[Any, Completion | None, float, float, int]] \
+            = deque()
+        #: When the last submitted job finishes.
+        self._free_at = 0.0
+        #: Bumped by ``drain``; finish events of an older epoch are stale.
+        self._epoch = 0
         # Accounting.
         self.busy_time = 0.0
         self.jobs_done = 0
@@ -69,11 +60,11 @@ class FifoStation:
     # -- metrics ------------------------------------------------------------
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return max(0, len(self._jobs) - 1)
 
     @property
     def in_service(self) -> int:
-        return self._busy_servers
+        return 1 if self._jobs else 0
 
     def utilization_since_mark(self) -> float:
         """Busy fraction since the last call to this method.
@@ -82,49 +73,41 @@ class FifoStation:
         CPU metric the paper's balancers consume.
         """
         now = self.engine.now
-        window = now - self._last_window_mark
+        mark = self._last_window_mark
+        window = now - mark
         busy = self._window_busy
-        # Add partial busy time of still-running jobs.
-        for job in self._in_service:
-            busy += now - max(job.started_at, self._last_window_mark)
+        if self._jobs:
+            # Add the partial busy time of the job in service.
+            busy += now - max(self._jobs[0][3], mark)
         self._last_window_mark = now
         self._window_busy = 0.0
         if window <= 0:
-            return 1.0 if self._busy_servers else 0.0
-        return min(1.0, busy / (window * self.servers))
+            return 1.0 if self._jobs else 0.0
+        return min(1.0, busy / window)
 
     def mean_wait(self) -> float:
         return self.total_wait / self.jobs_done if self.jobs_done else 0.0
 
     # -- control ------------------------------------------------------------
-    def pause(self) -> None:
-        """Stop dispatching new jobs (used while a subtree is frozen)."""
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-        self._dispatch()
-
-    def drain(self) -> list[Job]:
+    def drain(self) -> list[tuple[Any, Completion | None]]:
         """Abandon all queued and in-service jobs (a server crash).
 
         Busy time already accrued is accounted; the jobs' completions are
         left unfired -- the caller decides whether to requeue, redirect or
-        cancel each one.  Returns the abandoned jobs, in-service first.
+        cancel each one.  Returns ``(payload, completion)`` of the
+        abandoned jobs, in-service first.
         """
+        jobs = self._jobs
+        if not jobs:
+            return []
         now = self.engine.now
-        abandoned: list[Job] = []
-        for job, handle in self._in_service.items():
-            handle.cancel()
-            started = job.started_at
-            span = now - started
-            self.busy_time += span
-            self._window_busy += now - max(started, self._last_window_mark)
-            abandoned.append(job)
-        self._in_service.clear()
-        self._busy_servers = 0
-        abandoned.extend(self._queue)
-        self._queue.clear()
+        started = jobs[0][3]
+        self.busy_time += now - started
+        self._window_busy += now - max(started, self._last_window_mark)
+        abandoned = [(job[0], job[1]) for job in jobs]
+        jobs.clear()
+        self._epoch += 1
+        self._free_at = now
         return abandoned
 
     # -- submission ------------------------------------------------------
@@ -144,63 +127,40 @@ class FifoStation:
             raise ValueError("service time required")
         else:
             service_time = float(service)
-        completion = self.engine.completion() if want_completion else None
-        job = Job(payload, service_time, completion, self.engine.now)
-        if self._queue or self._paused or self._busy_servers >= self.servers:
-            # Queued jobs start from _finish or resume(); an idle, running
-            # station never holds a queue, so FIFO order is kept.
-            self._queue.append(job)
-        else:
-            self._start(job)
+        engine = self.engine
+        now = engine.now
+        completion = Completion(engine) if want_completion else None
+        free_at = self._free_at
+        started = free_at if free_at > now else now
+        finish = started + service_time
+        self._free_at = finish
+        job = (payload, completion, now, started, self._epoch)
+        self._jobs.append(job)
+        # engine.schedule() inlined: a finish time is never in the past.
+        heappush(engine._heap, (finish, next(engine._seq), self._finish, job))
         return completion
 
     # -- internals ---------------------------------------------------------
-    def _dispatch(self) -> None:
-        while (not self._paused and self._queue
-               and self._busy_servers < self.servers):
-            job = self._queue.popleft()
-            self._start(job)
-
-    def _start(self, job: Job) -> None:
-        engine = self.engine
-        now = engine.now
-        self._busy_servers += 1
-        job.started_at = now
-        self.total_wait += now - job.enqueued_at
-        # engine.schedule() inlined (service times are never negative);
-        # the bookkeeping matches schedule() exactly.
-        time = now + job.service
-        seq = next(engine._seq)
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.fn = self._finish
-        handle.args = (job,)
-        handle.cancelled = False
-        heappush(engine._heap, (time, seq, handle))
-        engine._scheduled += 1
-        if (engine._scheduled & _COMPACT_EVERY_MASK) == 0 \
-                and len(engine._heap) >= _COMPACT_MIN_HEAP:
-            engine._maybe_compact()
-        self._in_service[job] = handle
-
-    def _finish(self, job: Job) -> None:
-        del self._in_service[job]
+    def _finish(self, payload: Any, completion: Completion | None,
+                enqueued_at: float, started: float, epoch: int) -> None:
+        if epoch != self._epoch:
+            return  # abandoned by drain()
+        jobs = self._jobs
+        jobs.popleft()
+        if jobs:
+            # The next job enters service now: count its wait here, as a
+            # job that finds the station idle counts its wait (zero).
+            head = jobs[0]
+            self.total_wait += head[3] - head[2]
         now = self.engine.now
-        started = job.started_at
         span = now - started
         self.busy_time += span
         mark = self._last_window_mark
         self._window_busy += now - (started if started >= mark else mark)
         self.total_service += span
         self.jobs_done += 1
-        self._busy_servers -= 1
         result: Any = None
         if self.executor is not None:
-            result = self.executor(job.payload)
-        completion = job.completion
+            result = self.executor(payload)
         if completion is not None and not completion._done:
             completion.succeed(result)
-        if self._queue and not self._paused \
-                and self._busy_servers < self.servers:
-            self._dispatch()

@@ -91,3 +91,22 @@ class TestHalfOpenBreaker:
         assert [e.kind for e in report.lifecycle_events
                 if e.kind.startswith("breaker-")] == [
             "breaker-open", "breaker-probation", "breaker-permanent"]
+
+
+class TestMathDomainErrorsReachTheBreaker:
+    def test_nan_from_math_sqrt_is_a_policy_error_not_a_crash(self):
+        # math.sqrt(-1) is nan in Lua; the policy's own check turns it into
+        # a Lua error, which the breaker counts like any other.
+        policy = MantlePolicy(
+            name="sqrt-of-negative",
+            when=("local load = math.sqrt(-1)\n"
+                  "assert(load == load, 'load is nan')\n"
+                  "go = false"))
+        cluster = SimulatedCluster(
+            make_config(num_mds=2, policy_error_threshold=2,
+                        policy_probation_ticks=2), policy=policy)
+        cluster.run_for(20.0)
+        balancer = cluster.balancer
+        assert balancer.breaker == "permanent"
+        errors = [d.error for d in balancer.decisions if d.error]
+        assert errors and all("load is nan" in error for error in errors)

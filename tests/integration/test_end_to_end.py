@@ -243,3 +243,12 @@ class TestReportApi:
                 CreateWorkload(num_clients=1, files_per_client=100_000),
                 max_time=0.5,
             )
+
+    def test_deadline_after_a_finished_workload_does_nothing(self):
+        # The deadline event stays in the heap; running past it must not
+        # fail the completion that already fired.
+        cluster = SimulatedCluster(make_config(num_mds=1))
+        cluster.run_workload(
+            CreateWorkload(num_clients=1, files_per_client=100), max_time=5.0)
+        cluster.run_for(10.0)
+        assert cluster.engine.now > 5.0

@@ -9,8 +9,12 @@ coroutine resume.  A ceiling on all calls per op into ``repro`` covers
 the four golden scenario shapes, so a change that adds work anywhere on
 the op path (an unconditional observer call, say) fails here; a second
 ceiling on calls into ``mds/server.py`` keeps the MDS request path
-straight-line (one handler per op, guards inline), and a third on
-``math.pow`` keeps popularity counting at one decay weight per timestamp.
+straight-line (one handler per op, guards inline), a third on
+``math.pow`` keeps popularity counting at one decay weight per timestamp,
+and a fourth on calls into ``sim/`` keeps the event core at one heap
+tuple per event and one event per station job.  The number of events
+each shape executes is pinned exactly: the event core's cost per event
+may fall, but an event more or less changes what is simulated.
 """
 
 from __future__ import annotations
@@ -31,15 +35,30 @@ from tests.integration.test_golden_digests import scenario
 
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 SERVER_FILE = os.path.join(REPRO_DIR, "mds", "server.py")
+SIM_DIR = os.path.join(REPRO_DIR, "sim") + os.sep
 #: Python 3.12 inlines these (PEP 709), so they are frames only before it.
 INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 #: Calls per op into ``repro`` for each golden scenario shape: the count
 #: recorded when the ceiling was set, plus 2%.
 CALLS_PER_OP_CEILING = {
-    "create_shared": 41.19 * 1.02,
-    "zipf_read": 39.91 * 1.02,
-    "compile": 52.60 * 1.02,
-    "scale20": 173.29 * 1.02,
+    "create_shared": 37.64 * 1.02,
+    "zipf_read": 37.14 * 1.02,
+    "compile": 49.43 * 1.02,
+    "scale20": 168.63 * 1.02,
+}
+#: Calls per op into ``repro/sim/``, the same way.
+SIM_CALLS_PER_OP_CEILING = {
+    "create_shared": 5.94 * 1.02,
+    "zipf_read": 5.70 * 1.02,
+    "compile": 7.11 * 1.02,
+    "scale20": 11.81 * 1.02,
+}
+#: ``engine.events_executed`` per op, exactly.
+EVENTS_PER_OP = {
+    "create_shared": 25_879 / 8_000,
+    "zipf_read": 26_712 / 8_000,
+    "compile": 29_131 / 6_720,
+    "scale20": 11_591 / 2_020,
 }
 #: Calls per op into ``mds/server.py`` for the create shape, the same way.
 SERVER_CALLS_PER_OP_CEILING = 5.49 * 1.02
@@ -121,8 +140,9 @@ def test_client_ops_resume_no_coroutines():
 
 
 @functools.lru_cache(maxsize=None)
-def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int]:
-    """``(calls by (file, function), ops)`` of one scenario run."""
+def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int, int]:
+    """``(calls by (file, function), ops, events executed)`` of one
+    scenario run."""
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
     profile = cProfile.Profile()
@@ -132,13 +152,13 @@ def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int]:
     calls: dict[tuple[str, str], int] = {}
     for (filename, _line, func), stats in pstats.Stats(profile).stats.items():
         calls[(filename, func)] = calls.get((filename, func), 0) + stats[1]
-    return calls, workload.total_ops()
+    return calls, workload.total_ops(), cluster.engine.events_executed
 
 
 def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
     """Calls per op into functions in files starting with *prefix* (all
     of ``repro`` by default) for one scenario run."""
-    calls, ops = scenario_calls(name)
+    calls, ops, _events = scenario_calls(name)
     return sum(count for (filename, func), count in calls.items()
                if filename.startswith(prefix)
                and func not in INLINED_FRAMES) / ops
@@ -146,13 +166,29 @@ def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
 
 def pow_calls_per_op(name: str) -> float:
     """``math.pow`` calls per op for one scenario run."""
-    calls, ops = scenario_calls(name)
+    calls, ops, _events = scenario_calls(name)
     return calls.get(("~", "<built-in method math.pow>"), 0) / ops
+
+
+def events_per_op(name: str) -> float:
+    """Events executed per op for one scenario run."""
+    _calls, ops, events = scenario_calls(name)
+    return events / ops
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
 def test_calls_per_op_stay_under_ceiling(name):
     assert calls_per_op(name) <= CALLS_PER_OP_CEILING[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CALLS_PER_OP_CEILING))
+def test_sim_calls_per_op_stay_under_ceiling(name):
+    assert calls_per_op(name, SIM_DIR) <= SIM_CALLS_PER_OP_CEILING[name]
+
+
+@pytest.mark.parametrize("name", sorted(EVENTS_PER_OP))
+def test_events_per_op_are_pinned(name):
+    assert events_per_op(name) == EVENTS_PER_OP[name]
 
 
 def test_server_calls_per_op_stay_under_ceiling():
@@ -169,8 +205,12 @@ if __name__ == "__main__":
     for shape in sorted(CALLS_PER_OP_CEILING):
         print(f"{shape}: {calls_per_op(shape):.2f} calls/op "
               f"(ceiling {CALLS_PER_OP_CEILING[shape]:.2f}), "
+              f"{calls_per_op(shape, SIM_DIR):.2f} into sim/ "
+              f"(ceiling {SIM_CALLS_PER_OP_CEILING[shape]:.2f}), "
               f"{pow_calls_per_op(shape):.3f} math.pow/op "
-              f"(ceiling {POW_CALLS_PER_OP_CEILING[shape]:.3f})")
+              f"(ceiling {POW_CALLS_PER_OP_CEILING[shape]:.3f}), "
+              f"{events_per_op(shape):.4f} events/op "
+              f"(pinned {EVENTS_PER_OP[shape]:.4f})")
     print(f"create_shared mds/server.py: "
           f"{calls_per_op('create_shared', SERVER_FILE):.2f} calls/op "
           f"(ceiling {SERVER_CALLS_PER_OP_CEILING:.2f})")

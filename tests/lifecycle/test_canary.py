@@ -76,6 +76,19 @@ class TestRollback:
         assert "canary=rolled-back" in cluster._report().summary_line()
 
 
+class TestPending:
+    def test_summary_line_reports_a_canary_still_watching(self):
+        # Started at the 4.006 s tick, due at 8.006 s: the run stops first.
+        config = make_config(num_mds=2)
+        cluster = SimulatedCluster(config, policy=greedy_spill_policy())
+        controller = cluster.arm_canary(broken_policy(), at=3.0, window=3.5)
+        cluster.run_for(6.0)
+        assert controller.phase == "watching"
+        line = cluster._report().summary_line()
+        assert "canary=pending" in line
+        assert "canary=rolled-back" not in line
+
+
 class TestPromotion:
     def test_healthy_candidate_is_promoted_to_all_ranks(self):
         cluster, controller = run_canary(idle_policy())

@@ -80,6 +80,51 @@ class TestMathTable:
         assert value_of("x = math.min(1, 2)") == 1.0
 
 
+class TestMathIeee:
+    """Lua's math library is C's: domain errors give nan, overflows
+    +-inf, and nothing raises a host error a policy run cannot catch."""
+
+    @pytest.mark.parametrize("expr", [
+        "math.sqrt(-1)", "math.log(-1)", "math.fmod(1, 0)",
+        "math.fmod(1/0, 2)", "math.floor(0/0)", "math.ceil(0/0)",
+        "math.sin(1/0)", "math.cos(-1/0)", "math.tan(1/0)",
+        "math.pow(-8, 1/3)",
+    ])
+    def test_domain_errors_give_nan(self, expr):
+        assert math.isnan(value_of(f"x = {expr}"))
+
+    @pytest.mark.parametrize("expr, expected", [
+        ("math.log(0)", -math.inf),
+        ("math.floor(1/0)", math.inf),
+        ("math.floor(-1/0)", -math.inf),
+        ("math.ceil(1/0)", math.inf),
+        ("math.ceil(-1/0)", -math.inf),
+        ("math.exp(1000)", math.inf),
+        ("math.exp(-1/0)", 0.0),
+        ("math.sqrt(1/0)", math.inf),
+        ("math.log(1/0)", math.inf),
+        ("math.pow(10, 400)", math.inf),
+        ("math.pow(-10, 401)", -math.inf),
+        ("math.pow(0, -1)", math.inf),
+        ("math.fmod(5, 1/0)", 5.0),
+        ("math.fmod(-7, 3)", -1.0),
+    ])
+    def test_edge_values_follow_ieee(self, expr, expected):
+        assert value_of(f"x = {expr}") == expected
+
+    @pytest.mark.parametrize("a, b", [(2, 0.5), (-2, 3), (0, 0),
+                                      (-8, 1 / 3), (1e300, 2)])
+    def test_pow_matches_the_operator(self, a, b):
+        via_call = value_of(f"x = math.pow({a!r}, {b!r})")
+        via_operator = value_of(f"x = ({a!r}) ^ ({b!r})")
+        assert via_call == via_operator or (math.isnan(via_call)
+                                            and math.isnan(via_operator))
+
+    def test_non_number_still_raises(self):
+        with pytest.raises(LuaRuntimeError):
+            run_policy("x = math.sqrt({})")
+
+
 class TestPairsIpairs:
     def test_pairs_on_non_table_raises(self):
         with pytest.raises(LuaRuntimeError):

@@ -1,4 +1,4 @@
-"""Event engine: ordering, cancellation, completions, processes, barriers."""
+"""Event engine: ordering, completions, processes, barriers."""
 
 import pytest
 
@@ -34,14 +34,6 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             SimEngine().schedule(-1.0, lambda: None)
-
-    def test_cancel_prevents_execution(self):
-        engine = SimEngine()
-        fired = []
-        handle = engine.schedule(1.0, fired.append, "x")
-        handle.cancel()
-        engine.run()
-        assert fired == []
 
     def test_schedule_at_absolute(self):
         engine = SimEngine()
@@ -298,12 +290,3 @@ class TestRunBefore:
         engine.schedule(3.0, fired.append, 3.0)
         engine.run_before(10.0, completion=done)
         assert fired == [1.0]
-
-    def test_cancelled_events_are_skipped(self):
-        engine = SimEngine()
-        fired = []
-        handle = engine.schedule(1.0, fired.append, "cancelled")
-        engine.schedule(2.0, fired.append, "kept")
-        handle.cancel()
-        engine.run_before(5.0)
-        assert fired == ["kept"]

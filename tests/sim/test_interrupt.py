@@ -125,10 +125,10 @@ class TestProcessInterrupt:
 
 
 class TestStationDrain:
-    def make_station(self, servers=1):
+    def make_station(self):
         engine = SimEngine()
         rng = np.random.default_rng(0)
-        return engine, FifoStation(engine, "s", rng, servers=servers)
+        return engine, FifoStation(engine, "s", rng)
 
     def test_drain_returns_in_service_then_queued(self):
         engine, station = self.make_station()
@@ -136,7 +136,7 @@ class TestStationDrain:
         second = station.submit("b", 1.0)
         engine.run_until(0.5)
         jobs = station.drain()
-        assert [job.payload for job in jobs] == ["a", "b"]
+        assert jobs == [("a", first), ("b", second)]
         assert station.in_service == 0
         assert station.queue_length == 0
         # Abandoned completions never fire on their own.
