@@ -11,6 +11,9 @@ has three phases with very different metadata behaviour:
   (Fig 1) and steady traffic in ``include``;
 * **link** -- a flash crowd of readdirs sweeping the whole tree (Fig 10:
   "the clients shift to linking, which overloads 1 MDS with readdirs").
+
+Paths come from per-client tables and one ``integers()`` call draws a
+chunk of units' header picks, bit for bit as one scalar call per pick.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ SOURCE_TREE: tuple[tuple[str, int, int, float], ...] = (
     ("scripts", 3, 8, 0.5),
     ("Documentation", 10, 12, 0.05),
 )
+
+#: Compile units per ``integers()`` call that draws their header picks.
+UNIT_CHUNK = 256
 
 
 class CompileWorkload(Workload):
@@ -115,23 +121,26 @@ class CompileWorkload(Workload):
                 source_files.append((path, weight))
                 yield (OpKind.CREATE, path)
 
-        # Phase 2: compile -- weighted hot-spot traffic.
+        # Phase 2: compile -- weighted hot-spot traffic: two header stats
+        # (hot include/ traffic), then open the source and create its .o.
         weights = np.asarray([w for _p, w in source_files], dtype=float)
         weights /= weights.sum()
         header_dirs = [rel for rel, _f, w in dirs if rel.startswith("include")]
+        stat_paths = [[f"{root}/{hdir}/src{pick:03d}.c" for pick in range(4)]
+                      for hdir in header_dirs]
         n_units = int(len(source_files) * self.compile_passes)
         order = rng.choice(len(source_files), size=n_units, p=weights)
-        for unit in order:
-            path, _weight = source_files[unit]
-            directory = path.rsplit("/", 1)[0]
-            # Header lookups (hot include/ traffic).
-            for _ in range(2):
-                hdir = header_dirs[int(rng.integers(len(header_dirs)))] \
-                    if header_dirs else "include"
-                yield (OpKind.STAT,
-                       f"{root}/{hdir}/src{int(rng.integers(4)):03d}.c")
-            yield (OpKind.OPEN, path)
-            yield (OpKind.CREATE, path.replace(".c", f".o{unit % 7}"))
+        for start in range(0, n_units, UNIT_CHUNK):
+            units = order[start:start + UNIT_CHUNK].tolist()
+            bounds = np.tile([len(header_dirs), 4], 2 * len(units))
+            picks = iter(rng.integers(0, bounds).tolist())
+            for unit, dir1, file1, dir2, file2 in zip(units, picks, picks,
+                                                       picks, picks):
+                path = source_files[unit][0]
+                yield (OpKind.STAT, stat_paths[dir1][file1])
+                yield (OpKind.STAT, stat_paths[dir2][file2])
+                yield (OpKind.OPEN, path)
+                yield (OpKind.CREATE, path.replace(".c", f".o{unit % 7}"))
 
         # Phase 3: link -- the readdir flash crowd (the linker sweeps the
         # object directories repeatedly).

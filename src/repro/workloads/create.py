@@ -53,10 +53,11 @@ class CreateWorkload(Workload):
         directory = self.target_dir(client_id)
         if not self.shared_dir:
             yield (OpKind.MKDIR, directory)
+        prefix, stat_every = f"{directory}/f{client_id}_", self.stat_every
         for index in range(self.files_per_client):
-            path = f"{directory}/f{client_id}_{index:07d}"
+            path = prefix + "%07d" % index
             yield (OpKind.CREATE, path)
-            if self.stat_every and (index + 1) % self.stat_every == 0:
+            if stat_every and (index + 1) % stat_every == 0:
                 yield (OpKind.STAT, path)
 
     def total_ops(self) -> int:

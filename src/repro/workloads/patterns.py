@@ -2,9 +2,11 @@
 
 ``ZipfWorkload`` issues stats/opens over an existing file population with a
 Zipf popularity skew -- the "skewed workload" shape §1 of the paper cites
-as the reason metadata services fall over.  ``TraceWorkload`` replays an
-explicit per-client op list (useful for regression tests and for feeding
-recorded traces through different balancers).
+as the reason metadata services fall over; its stream walks the drawn
+arrays a chunk at a time and joins per-directory path prefixes with the
+file number.  ``TraceWorkload`` replays an explicit per-client op list
+(useful for regression tests and for feeding recorded traces through
+different balancers).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 from ..clients.ops import OpKind
 from ..namespace.tree import Namespace
 from .base import Workload, WorkloadOp
+
+#: Ops per chunk of the drawn arrays that a zipf stream turns into lists.
+OP_CHUNK = 1024
 
 
 def zipf_weights(n: int, alpha: float = 1.1) -> np.ndarray:
@@ -45,16 +50,16 @@ class ZipfWorkload(Workload):
         self.base = base.rstrip("/") or "/data"
         self.seed = seed
 
-    def _file_path(self, index: int) -> str:
-        return (f"{self.base}/d{index % self.num_dirs:03d}/"
-                f"f{index:07d}")
+    def _dir_prefixes(self, stem: str) -> list[str]:
+        return [f"{self.base}/d{d:03d}/{stem}" for d in range(self.num_dirs)]
 
     def prepare(self, namespace: Namespace) -> None:
         namespace.mkdirs(self.base)
         for d in range(self.num_dirs):
             namespace.mkdirs(f"{self.base}/d{d:03d}")
+        files, num_dirs = self._dir_prefixes("f"), self.num_dirs
         for index in range(self.num_files):
-            namespace.create(self._file_path(index))
+            namespace.create(files[index % num_dirs] + "%07d" % index)
 
     def client_ops(self, client_id: int) -> Iterator[WorkloadOp]:
         rng = np.random.default_rng(
@@ -65,14 +70,17 @@ class ZipfWorkload(Workload):
         choices = rng.choice(self.num_files, size=self.ops_per_client,
                              p=weights)
         writes = rng.random(self.ops_per_client) < self.write_fraction
-        for op_index in range(self.ops_per_client):
-            index = int(choices[op_index])
-            if writes[op_index]:
-                yield (OpKind.CREATE,
-                       f"{self.base}/d{index % self.num_dirs:03d}/"
-                       f"new{client_id}_{op_index:07d}")
-            else:
-                yield (OpKind.STAT, self._file_path(index))
+        files, num_dirs = self._dir_prefixes("f"), self.num_dirs
+        creates = self._dir_prefixes(f"new{client_id}_")
+        for start in range(0, self.ops_per_client, OP_CHUNK):
+            chunk = zip(choices[start:start + OP_CHUNK].tolist(),
+                        writes[start:start + OP_CHUNK].tolist())
+            for op_index, (index, write) in enumerate(chunk, start):
+                if write:
+                    yield (OpKind.CREATE,
+                           creates[index % num_dirs] + "%07d" % op_index)
+                else:
+                    yield (OpKind.STAT, files[index % num_dirs] + "%07d" % index)
 
     def total_ops(self) -> int:
         return self.ops_per_client * self.num_clients

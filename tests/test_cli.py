@@ -1,7 +1,13 @@
 """The mantle-sim command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.api import MantlePolicy
 from repro.core.policyfile import dump_policy
@@ -84,6 +90,27 @@ class TestRun:
         code = main(["run", "--policy", str(path), "--files", "10"])
         assert code == 1
         assert "refusing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_run_into_closed_pipe_exits_quietly(self, unbuffered):
+        # ``mantle-sim run ... | head -1``: the reader is gone before the
+        # report is written.  Block-buffered stdout fails at the final
+        # flush, unbuffered stdout at the first print; neither may print
+        # a traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run", "--mds", "1",
+                 "--clients", "1", "--files", "300", "--seed", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
     def test_run_zipf(self, capsys):
         code = main(["run", "--workload", "zipf", "--mds", "1",
