@@ -29,49 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 WorkloadOp = tuple[OpKind, str]
 
 
-class PendingOp:
-    """One in-flight op of a closed-loop worker.
-
-    The MDS holds it beside the request and replies through it: it has
-    the ``done``/``succeed`` pair of :class:`~repro.sim.engine.Completion`
-    the request path uses, and succeeding it completes the op for the
-    client.
-    """
-
-    __slots__ = ("client", "dir_path", "issued_at", "done")
-
-    def __init__(self, client: "Client", dir_path: str,
-                 issued_at: float) -> None:
-        self.client = client
-        self.dir_path = dir_path
-        self.issued_at = issued_at
-        self.done = False
-
-    def succeed(self, reply: MetaReply) -> None:
-        """The reply arrived: account it, hand it to the trace sink if the
-        run is recorded, learn the route from it, and move the worker on
-        to its next op."""
-        if self.done:
-            raise RuntimeError("op already completed")
-        self.done = True
-        client = self.client
-        now = client.engine.now
-        metrics = client.metrics
-        metrics.latencies.record(client.client_id, now - self.issued_at)
-        client.ops_completed += 1
-        if reply.error is not None:
-            client.errors += 1
-        if metrics.trace is not None:
-            metrics.trace(now, client.client_id, reply)
-        client.mds_map[self.dir_path] = reply.served_by
-        if reply.dir_path is not None and reply.frag_map is not None:
-            client.frag_maps[reply.dir_path] = reply.frag_map
-        if client.think_time > 0:
-            client.engine.schedule(client.think_time, client._next_op)
-        else:
-            client._next_op()
-
-
 class Client:
     """One client mount: an op stream, a subtree map, pipeline workers."""
 
@@ -140,8 +97,8 @@ class Client:
 
     # -- request issue ------------------------------------------------------
     def _issue(self, kind: OpKind, path: str,
-               dst: str | None = None) -> PendingOp:
-        """Send one request; the returned op receives the reply.
+               dst: str | None = None) -> MetaRequest:
+        """Send one request; :meth:`receive_reply` receives its reply.
 
         The path is parsed here, once per op, and travels with the
         request; the result always equals
@@ -160,10 +117,8 @@ class Client:
                 dir_path = "/"
         else:
             dir_path, leaf = parse_op_path(kind, path)
-        req = MetaRequest(kind=kind, path=path, client_id=self.client_id,
-                          issued_at=issued_at, dst=dst, dir_path=dir_path,
-                          leaf=leaf)
-        pending = PendingOp(self, dir_path, issued_at)
+        req = MetaRequest(kind, path, self.client_id, self, issued_at, dst,
+                          dir_path, leaf)
         rank = None
         if kind is not OpKind.READDIR:
             frag_map = self.frag_maps.get(dir_path)
@@ -185,14 +140,37 @@ class Client:
         delay = (self._cap_switch_delay(req, rank)
                  if rank != self._last_rank else 0.0)
         if delay > 0:
-            self.engine.schedule(
-                delay, self.network.deliver,
-                self.mdss[rank].receive_request, req, pending,
-            )
+            self.engine.schedule(delay, self.network.deliver,
+                                 self.mdss[rank].receive_request, req)
         else:
-            self.network.deliver(self.mdss[rank].receive_request, req,
-                                 pending)
-        return pending
+            self.network.deliver(self.mdss[rank].receive_request, req)
+        return req
+
+    def receive_reply(self, req: MetaRequest, served_by: int,
+                      error: str | None, result, dir_path: str | None,
+                      frag_map: tuple | None) -> None:
+        """The reply to *req* arrived: account it, hand it to the trace
+        sink if the run is recorded, learn the route (and the fragtree, on
+        a success) from it, and move the worker on to its next op."""
+        if req.done:
+            raise RuntimeError("op already completed")
+        req.done = True
+        now = self.engine.now
+        metrics = self.metrics
+        metrics.latencies.record(self.client_id, now - req.issued_at)
+        self.ops_completed += 1
+        if error is not None:
+            self.errors += 1
+        if metrics.trace is not None:
+            metrics.trace(now, self.client_id, MetaReply.of(
+                req, now, served_by, error, result, dir_path, frag_map))
+        self.mds_map[req.dir_path] = served_by
+        if dir_path is not None and frag_map is not None:
+            self.frag_maps[dir_path] = frag_map
+        if self.think_time > 0:
+            self.engine.schedule(self.think_time, self._next_op)
+        else:
+            self._next_op()
 
     def _cap_switch_delay(self, req: MetaRequest, rank: int) -> float:
         """Cap revalidation when consecutive requests alternate ranks.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import field
 from enum import Enum
 from typing import Any, Optional
 
@@ -62,38 +61,51 @@ def parse_op_path(kind: OpKind, path: str) -> tuple[str, Optional[str]]:
 _REQ_IDS = itertools.count(1)
 
 
-@dataclass(slots=True)
 class MetaRequest:
-    """One client metadata request as it travels through the cluster."""
+    """One client metadata op, the only per-op object between a client
+    and the MDS ranks: stations queue it, forwards carry it, and the reply
+    goes to ``client.receive_reply``, which sets ``done``."""
 
-    kind: OpKind
-    path: str
-    client_id: int
-    req_id: int = field(default_factory=_REQ_IDS.__next__)
-    #: Ranks that already handled (and forwarded) this request.
-    hops: list[int] = field(default_factory=list)
-    issued_at: float = 0.0
-    #: Rename destination (None for every other op).
-    dst: Optional[str] = None
-    #: The path, parsed once by the client (see :func:`parse_op_path`):
-    #: the directory the op addresses, the leaf name in it (None for
-    #: READDIR and the root) and the leaf's ``name_hash`` (None until
-    #: someone needed it).  ``dir_path`` None means unparsed; the MDS
-    #: parses such a request on first routing.
-    dir_path: Optional[str] = None
-    leaf: Optional[str] = None
-    leaf_hash: Optional[int] = None
-    #: ``(parent directory, leaf name, dirfrag)`` the MDS resolved for
-    #: this request (None: the path does not resolve), valid while the
-    #: namespace tree epoch and the global authority epoch still equal
-    #: the two recorded beside it.  See ``MdsServer._route``.
-    route: Optional[tuple] = None
-    tree_epoch: int = -1
-    auth_epoch: int = -1
+    __slots__ = ("kind", "path", "client_id", "client", "issued_at", "dst",
+                 "dir_path", "leaf", "leaf_hash", "req_id", "hops", "done",
+                 "route", "tree_epoch", "auth_epoch")
+
+    def __init__(self, kind: OpKind, path: str, client_id: int,
+                 client: Any = None, issued_at: float = 0.0,
+                 dst: Optional[str] = None, dir_path: Optional[str] = None,
+                 leaf: Optional[str] = None) -> None:
+        self.kind = kind
+        self.path = path
+        self.client_id = client_id
+        #: Receives the reply (a :class:`~repro.clients.client.Client`).
+        self.client = client
+        self.issued_at = issued_at
+        #: Rename destination (None for every other op).
+        self.dst = dst
+        #: The path, parsed once by the client (see :func:`parse_op_path`):
+        #: the directory the op addresses, the leaf name in it (None for
+        #: READDIR and the root) and the leaf's ``name_hash`` (None until
+        #: someone needed it).  ``dir_path`` None means unparsed; the MDS
+        #: parses such a request on first routing.
+        self.dir_path = dir_path
+        self.leaf = leaf
+        self.leaf_hash: Optional[int] = None
+        self.req_id = next(_REQ_IDS)
+        #: Ranks that handled this request so far (forwards + 1).
+        self.hops = 0
+        #: True once the reply reached the client.
+        self.done = False
+        #: ``(parent directory, leaf name, dirfrag)`` the MDS resolved for
+        #: this request (None: the path does not resolve), valid while the
+        #: namespace tree epoch and the global authority epoch still equal
+        #: the two recorded beside it.  See ``MdsServer._route``.
+        self.route: Optional[tuple] = None
+        self.tree_epoch = -1
+        self.auth_epoch = -1
 
     @property
     def forwards(self) -> int:
-        return max(0, len(self.hops) - 1)
+        return self.hops - 1 if self.hops > 1 else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MetaRequest({self.kind.value}, {self.path!r}, "
@@ -102,7 +114,8 @@ class MetaRequest:
 
 @dataclass(slots=True)
 class MetaReply:
-    """Reply delivered back to the client.
+    """A reply as one record, built only for a trace sink: the MDS sends
+    the values as the arguments of ``client.receive_reply``.
 
     Real CephFS replies carry the directory's fragtree and the MDS map so
     clients can route follow-up requests directly; ``dir_path``/``frag_map``
@@ -125,3 +138,12 @@ class MetaReply:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @classmethod
+    def of(cls, req: MetaRequest, now: float, served_by: int,
+           error: Optional[str], result: Any, dir_path: Optional[str],
+           frag_map: Optional[tuple]) -> "MetaReply":
+        """The reply *req* received at *now* with these values."""
+        return cls(req.req_id, req.kind, req.path, served_by, req.forwards,
+                   now - req.issued_at, result, error, req.dst, dir_path,
+                   frag_map)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaReply, MetaRequest,
-                           OpKind, parse_op_path)
+from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaRequest, OpKind,
+                           parse_op_path)
 from ..config import ClusterConfig
 from ..luapolicy.errors import LuaError
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
@@ -22,7 +22,7 @@ from ..namespace.dirfrag import _AUTH_EPOCH, DirFrag, name_hash
 from ..namespace.tree import Namespace
 from ..rados.cluster import RadosCluster
 from ..rados.journal import MdsJournal
-from ..sim.engine import Completion, SimEngine
+from ..sim.engine import SimEngine
 from ..sim.network import Network
 from ..sim.rng import ServiceTime
 from ..sim.stations import FifoStation
@@ -105,12 +105,9 @@ class MdsServer:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def receive_request(self, req: MetaRequest, done: Completion,
+    def receive_request(self, req: MetaRequest,
                         count_hop: bool = True) -> None:
         """Entry point for a request arriving over the network.
-
-        *done* receives the reply: a :class:`Completion`, or anything with
-        its ``done``/``succeed`` pair, such as a client's ``PendingOp``.
 
         Samples the CPU time the request takes here: a forward costs only
         the recognition slice; local service costs the op's time, inflated
@@ -120,10 +117,10 @@ class MdsServer:
         if not self.alive:
             # The client (or a forwarding peer) sent to a dead rank: bounce
             # and retry once authority has been re-resolved.
-            self._retry_dead(req, done)
+            self._retry_dead(req)
             return
         if count_hop:
-            req.hops.append(self.rank)
+            req.hops += 1
         self.metrics.reqs_in_window += 1
         if (req.tree_epoch == self.namespace.tree_epoch
                 and req.auth_epoch == _AUTH_EPOCH[0]):
@@ -152,10 +149,10 @@ class MdsServer:
                 if spread > 1.0:
                     service *= 1.0 + (self.config.sync_penalty
                                       * (spread - 1.0) ** 0.5)
-        self.station.submit((req, done), service * self.cpu_factor,
+        self.station.submit(req, service * self.cpu_factor,
                             want_completion=False)
 
-    def _retry_dead(self, req: MetaRequest, done: Completion) -> None:
+    def _retry_dead(self, req: MetaRequest) -> None:
         """Park a request that hit a dead rank; redeliver after a delay.
 
         Redelivery re-resolves the request's own route, so once a standby
@@ -167,7 +164,7 @@ class MdsServer:
         self.metrics.dead_letters += 1
 
         def redeliver() -> None:
-            if done.done:
+            if req.done:
                 return
             route = self._route(req)
             auth = route[2].authority() if route is not None else self.rank
@@ -178,7 +175,7 @@ class MdsServer:
                 return
             # Bounces do not count as forward hops (MAX_HOPS is for
             # authority ping-pong, not for waiting out an outage).
-            target.receive_request(req, done, count_hop=False)
+            target.receive_request(req, count_hop=False)
 
         self.engine.schedule(self.config.dead_rank_retry_delay, redeliver)
 
@@ -218,10 +215,9 @@ class MdsServer:
         req.auth_epoch = auth_epoch
         return route
 
-    def _execute(self, task) -> None:
+    def _execute(self, req) -> None:
         """Station completion: forward the request, or serve it here."""
-        req, done = task
-        if not isinstance(req, MetaRequest):
+        if req.__class__ is not MetaRequest:
             # Internal work (fragmentation, session flushes): the CPU time
             # was the point; there is nothing to apply.
             return
@@ -231,14 +227,14 @@ class MdsServer:
         else:
             route = self._route(req)
         if route is None:
-            self._reply(req, done, "ENOENT")
+            self._reply(req, "ENOENT")
             return
         parent, leaf, frag = route
         if frag.frozen:
             # Unit mid-migration: stall and retry (requests queue behind the
             # two-phase commit, which is the freeze cost clients observe).
             self.engine.schedule(
-                FREEZE_RETRY_DELAY, self.receive_request, req, done, False
+                FREEZE_RETRY_DELAY, self.receive_request, req, False
             )
             return
         auth = frag._auth  # DirFrag.authority inlined
@@ -253,9 +249,9 @@ class MdsServer:
             load.rebase()
         load.sums[COUNTER_KIND[req.kind]] += clock.gain
         rank = self.rank
-        if auth != rank and len(req.hops) < MAX_HOPS:
+        if auth != rank and req.hops < MAX_HOPS:
             self.metrics.forwards += 1
-            self.network.deliver(self.peers[auth].receive_request, req, done)
+            self.network.deliver(self.peers[auth].receive_request, req)
             return
         self.metrics.traversal_hits += 1
         self.sessions.record_request(req.client_id, parent.path(), now)
@@ -290,15 +286,15 @@ class MdsServer:
                     remote_misses += 1
             node = node.parent
         if missed or remote_misses:
-            self._fetch_or_traverse(req, done, parent, leaf, frag, missed,
+            self._fetch_or_traverse(req, parent, leaf, frag, missed,
                                     remote_misses, now)
             return
-        self._apply(req, done, parent, leaf, frag)
+        self._apply(req, parent, leaf, frag)
 
-    def _fetch_or_traverse(self, req: MetaRequest, done: Completion,
-                           parent: Directory, leaf: Optional[str],
-                           frag: DirFrag, needs_fetch: bool,
-                           remote_prefixes: int, now: float) -> None:
+    def _fetch_or_traverse(self, req: MetaRequest, parent: Directory,
+                           leaf: Optional[str], frag: DirFrag,
+                           needs_fetch: bool, remote_prefixes: int,
+                           now: float) -> None:
         """Apply after the parent's RADOS fetch or the remote traversal of
         the ancestors that missed the cache."""
         if needs_fetch and parent.authority() != self.rank:
@@ -321,18 +317,16 @@ class MdsServer:
             obj = f"dir.{parent.inode.ino}"
             fetched = self.rados.read(obj, self.config.dir_object_bytes)
             fetched.add_callback(
-                lambda _c: self._apply(req, done, parent, leaf, frag)
+                lambda _c: self._apply(req, parent, leaf, frag)
             )
             return
         if delay > 0:
-            self.engine.schedule(delay, self._apply, req, done, parent, leaf,
-                                 frag)
+            self.engine.schedule(delay, self._apply, req, parent, leaf, frag)
             return
-        self._apply(req, done, parent, leaf, frag)
+        self._apply(req, parent, leaf, frag)
 
-    def _apply(self, req: MetaRequest, done: Completion,
-               parent: Directory, leaf: Optional[str],
-               frag: DirFrag) -> None:
+    def _apply(self, req: MetaRequest, parent: Directory,
+               leaf: Optional[str], frag: DirFrag) -> None:
         """Apply the request through its op family's handler, account it
         and reply."""
         now = self.engine.now
@@ -346,13 +340,13 @@ class MdsServer:
         try:
             result = self._handlers[kind](req, parent, leaf, frag, now)
         except FileExistsError:
-            self._reply(req, done, "EEXIST")
+            self._reply(req, "EEXIST")
             return
         except (FileNotFoundError, NotADirectoryError):
-            self._reply(req, done, "ENOENT")
+            self._reply(req, "ENOENT")
             return
         except ValueError:
-            self._reply(req, done, "EINVAL")
+            self._reply(req, "EINVAL")
             return
         counter_kind = COUNTER_KIND[kind]
         self.namespace.record_frag_hit(frag, counter_kind, now)
@@ -379,12 +373,12 @@ class MdsServer:
             if (len(self.peers) > 1
                     and self.rng.random() < self.config.parent_inval_prob):
                 self._invalidate_replicas(parent)
-        if not done.done:
-            hops = len(req.hops)
-            self.network.deliver(done.succeed, MetaReply(
-                req.req_id, kind, req.path, self.rank,
-                hops - 1 if hops > 1 else 0, now - req.issued_at, result,
-                None, req.dst, parent.path(), parent.frag_map()))
+        if not req.done:
+            # The reply's values are the arguments of the client's one
+            # reply call; a success carries the directory's fragtree.
+            self.network.deliver(req.client.receive_reply, req, self.rank,
+                                 None, result, parent.path(),
+                                 parent.frag_map())
 
     # -- op handlers: apply one op family, return the reply's result ------
     def _create(self, req: MetaRequest, parent: Directory,
@@ -520,15 +514,11 @@ class MdsServer:
                 peer.cache._entries.pop(node.inode.ino, None)
             node = node.parent
 
-    def _reply(self, req: MetaRequest, done: Completion, error: str) -> None:
+    def _reply(self, req: MetaRequest, error: str) -> None:
         """Reply with *error* (the success path replies from ``_apply``)."""
-        hops = len(req.hops)
-        reply = MetaReply(req.req_id, req.kind, req.path, self.rank,
-                          hops - 1 if hops > 1 else 0,
-                          self.engine.now - req.issued_at, None, error,
-                          req.dst)
-        if not done.done:
-            self.network.deliver(done.succeed, reply)
+        if not req.done:
+            self.network.deliver(req.client.receive_reply, req, self.rank,
+                                 error, None, None, None)
 
     # ------------------------------------------------------------------
     # Crash & recovery
@@ -559,10 +549,8 @@ class MdsServer:
             if peer.rank != self.rank:
                 peer.migrator.abort_targeting(self.rank)
         for payload, completion in self.station.drain():
-            if (isinstance(payload, tuple) and len(payload) == 2
-                    and isinstance(payload[0], MetaRequest)):
-                req, done = payload
-                self._retry_dead(req, done)
+            if payload.__class__ is MetaRequest:
+                self._retry_dead(payload)
             elif completion is not None and not completion.done:
                 # Internal work (fragmentation, session flushes): anyone
                 # still waiting on it was interrupted above; cancelling is

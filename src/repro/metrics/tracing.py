@@ -26,7 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One completed client operation."""
+    """One completed client operation; ``latency`` runs from issue to the
+    reply's arrival at the client, as the report's latencies do."""
 
     time: float
     client_id: int
@@ -54,8 +55,8 @@ class TraceRecorder:
 
     def record_reply(self, now: float, client_id: int,
                      reply: "MetaReply") -> None:
-        """The trace sink: clients call it with every reply while
-        :func:`record_run` records."""
+        """The trace sink: while :func:`record_run` records, clients build
+        a :class:`MetaReply` from each reply's values and call this."""
         self.events.append(TraceEvent(
             time=round(now, 6), client_id=client_id, kind=reply.kind.value,
             path=reply.path, latency=round(reply.latency, 6),

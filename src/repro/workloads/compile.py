@@ -140,7 +140,8 @@ class CompileWorkload(Workload):
                 yield (OpKind.STAT, stat_paths[dir1][file1])
                 yield (OpKind.STAT, stat_paths[dir2][file2])
                 yield (OpKind.OPEN, path)
-                yield (OpKind.CREATE, path.replace(".c", f".o{unit % 7}"))
+                # Only the ".c" suffix becomes the object's ".oN".
+                yield (OpKind.CREATE, f"{path[:-2]}.o{unit % 7}")
 
         # Phase 3: link -- the readdir flash crowd (the linker sweeps the
         # object directories repeatedly).

@@ -48,6 +48,19 @@ class TestBasicFlow:
         assert client.errors == 1
         assert client.ops_completed == 2
 
+    def test_second_reply_to_a_completed_request_raises(self):
+        cluster = SimulatedCluster(make_config(num_mds=1))
+        client = Client(cluster.engine, 0, cluster.network, cluster.mdss,
+                        cluster.metrics, iter([]))
+        req = client._issue(OpKind.MKDIR, "/d")
+        assert req.client is client and not req.done
+        cluster.engine.run()
+        assert req.done and client.ops_completed == 1
+        with pytest.raises(RuntimeError, match="op already completed"):
+            client.receive_reply(req, 0, None, None, "/", ((0, 0, 0),))
+        assert client.ops_completed == 1
+        assert len(cluster.metrics.latencies.client_latencies(0)) == 1
+
     def test_empty_op_stream_finishes_immediately(self):
         cluster = SimulatedCluster(make_config(num_mds=1))
         client = run_client(cluster, [])

@@ -28,11 +28,23 @@ class TestMetaRequest:
 
     def test_forwards_counts_extra_hops(self):
         req = MetaRequest(kind=OpKind.STAT, path="/a", client_id=0)
+        assert req.hops == 0
         assert req.forwards == 0
-        req.hops.append(0)
+        req.hops += 1
         assert req.forwards == 0
-        req.hops.append(2)
+        req.hops += 1
         assert req.forwards == 1
+
+    def test_positional_fields(self):
+        client = object()
+        req = MetaRequest(OpKind.RENAME, "/a/b", 3, client, 0.5, "/a/c",
+                          "/a", "b")
+        assert (req.kind, req.path, req.client_id, req.client) == (
+            OpKind.RENAME, "/a/b", 3, client)
+        assert (req.issued_at, req.dst, req.dir_path, req.leaf) == (
+            0.5, "/a/c", "/a", "b")
+        assert req.leaf_hash is None and req.route is None
+        assert not req.done
 
 
 class TestMetaReply:
@@ -43,3 +55,10 @@ class TestMetaReply:
                         forwards=0, latency=0.001, error="ENOENT")
         assert ok.ok
         assert not bad.ok
+
+    def test_of_request_measures_latency_to_arrival(self):
+        req = MetaRequest(OpKind.RENAME, "/a/b", 0, None, 1.0, "/a/c")
+        req.hops = 3
+        reply = MetaReply.of(req, 1.25, 2, None, 7, "/a", ((0, 0, 2),))
+        assert reply == MetaReply(req.req_id, OpKind.RENAME, "/a/b", 2, 2,
+                                  0.25, 7, None, "/a/c", "/a", ((0, 0, 2),))

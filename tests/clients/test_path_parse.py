@@ -37,7 +37,7 @@ class CaptureNetwork:
         self.sent = []
         self.handlers = []
 
-    def deliver(self, handler, req, _pending):
+    def deliver(self, handler, req):
         self.handlers.append(handler)
         self.sent.append(req)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clients.ops import MetaRequest, parse_op_path
+from repro.clients.ops import MetaReply, MetaRequest, parse_op_path
 from repro.config import ClusterConfig
 
 
@@ -48,3 +48,40 @@ def parsed_request(kind, path) -> MetaRequest:
     dir_path, leaf = parse_op_path(kind, path)
     return MetaRequest(kind=kind, path=path, client_id=0,
                        dir_path=dir_path, leaf=leaf)
+
+
+class ReplyCatcher:
+    """A stand-in client for tests that drive MDS ranks directly.
+
+    The MDS replies through ``req.client.receive_reply``, as to a real
+    client; this one marks the request done and succeeds :attr:`replied`
+    with the :class:`MetaReply` built from the reply values.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.replied = engine.completion()
+
+    def receive_reply(self, req, served_by, error, result, dir_path,
+                      frag_map) -> None:
+        if req.done:
+            raise RuntimeError("op already completed")
+        req.done = True
+        self.replied.succeed(MetaReply.of(req, self.engine.now, served_by,
+                                          error, result, dir_path, frag_map))
+
+
+def awaited_request(cluster, kind, path, client_id=0, dst=None):
+    """``(req, replied)``: an unparsed request issued now, whose reply
+    succeeds the completion *replied* with a :class:`MetaReply`."""
+    catcher = ReplyCatcher(cluster.engine)
+    req = MetaRequest(kind, path, client_id, catcher, cluster.engine.now, dst)
+    return req, catcher.replied
+
+
+def send_request(cluster, kind, path, rank=0, client_id=0, dst=None):
+    """Send one request to *rank* and run until its reply arrives:
+    ``(reply, req)``."""
+    req, replied = awaited_request(cluster, kind, path, client_id, dst)
+    cluster.network.deliver(cluster.mdss[rank].receive_request, req)
+    return cluster.engine.run_until_complete(replied), req

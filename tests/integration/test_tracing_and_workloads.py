@@ -27,6 +27,20 @@ class TestTraceRecording:
         assert summary["errors"] == 0
         assert summary["mean_latency"] > 0
 
+    def test_latency_is_the_one_the_client_observed(self):
+        """The trace stops the clock where the report does: when the reply
+        reaches the client, not when the MDS applies the op."""
+        cluster = SimulatedCluster(make_config(num_mds=2))
+        workload = CreateWorkload(num_clients=2, files_per_client=500)
+        recorder, report = record_run(cluster, workload)
+        latencies = report.metrics.latencies
+        assert recorder.summary()["mean_latency"] == pytest.approx(
+            latencies.mean(), abs=1e-6)
+        for client_id, events in recorder.per_client().items():
+            assert [event.latency for event in events] == [
+                round(latency, 6)
+                for latency in latencies.client_latencies(client_id)]
+
     def test_events_are_time_ordered_per_client(self):
         recorder, _report = self.run_recorded()
         for events in recorder.per_client().values():

@@ -14,7 +14,13 @@ straight-line (one handler per op, guards inline), a third on
 and a fourth on calls into ``sim/`` keeps the event core at one heap
 tuple per event and one event per station job.  The number of events
 each shape executes is pinned exactly: the event core's cost per event
-may fall, but an event more or less changes what is simulated.
+may fall, but an event more or less changes what is simulated.  The
+request is the only object an op builds on the client/MDS path: no reply
+object unless a trace records the run.
+
+The methods ``repro.dataclass`` generates are labelled
+``<dataclass repro.pkg.mod.Cls>``; they count as calls into
+``repro/pkg/mod.py``.
 """
 
 from __future__ import annotations
@@ -35,16 +41,18 @@ from tests.integration.test_golden_digests import scenario
 
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 SERVER_FILE = os.path.join(REPRO_DIR, "mds", "server.py")
+CLIENT_FILE = os.path.join(REPRO_DIR, "clients", "client.py")
+OPS_FILE = os.path.join(REPRO_DIR, "clients", "ops.py")
 SIM_DIR = os.path.join(REPRO_DIR, "sim") + os.sep
 #: Python 3.12 inlines these (PEP 709), so they are frames only before it.
 INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 #: Calls per op into ``repro`` for each golden scenario shape: the count
 #: recorded when the ceiling was set, plus 2%.
 CALLS_PER_OP_CEILING = {
-    "create_shared": 37.64 * 1.02,
-    "zipf_read": 35.74 * 1.02,
-    "compile": 49.42 * 1.02,
-    "scale20": 168.63 * 1.02,
+    "create_shared": 38.65 * 1.02,
+    "zipf_read": 36.34 * 1.02,
+    "compile": 49.71 * 1.02,
+    "scale20": 169.79 * 1.02,
 }
 #: Calls per op into ``repro/sim/``, the same way.
 SIM_CALLS_PER_OP_CEILING = {
@@ -139,10 +147,20 @@ def test_client_ops_resume_no_coroutines():
     assert calls.get(("sim/engine.py", "_resume"), 0) == 0
 
 
+def source_file(filename: str) -> str:
+    """The file a profiler label's code comes from: a generated dataclass
+    method's label names its class's module."""
+    if filename.startswith("<dataclass repro."):
+        module = filename[len("<dataclass repro."):-1].rsplit(".", 1)[0]
+        return os.path.join(REPRO_DIR, *module.split(".")) + ".py"
+    return filename
+
+
 @functools.lru_cache(maxsize=None)
-def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int, int]:
-    """``(calls by (file, function), ops, events executed)`` of one
-    scenario run.
+def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int, int,
+                                       int]:
+    """``(calls by (file, function), ops, events executed, client errors)``
+    of one scenario run, keyed by :func:`source_file`.
 
     The shape runs once unprofiled first: one-time work in the process
     (stdlib and policy compilation, say) lands in the first run, and the
@@ -158,14 +176,16 @@ def scenario_calls(name: str) -> tuple[dict[tuple[str, str], int], int, int]:
     profile.disable()
     calls: dict[tuple[str, str], int] = {}
     for (filename, _line, func), stats in pstats.Stats(profile).stats.items():
-        calls[(filename, func)] = calls.get((filename, func), 0) + stats[1]
-    return calls, workload.total_ops(), cluster.engine.events_executed
+        key = (source_file(filename), func)
+        calls[key] = calls.get(key, 0) + stats[1]
+    errors = sum(client.errors for client in cluster.clients)
+    return calls, workload.total_ops(), cluster.engine.events_executed, errors
 
 
 def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
     """Calls per op into functions in files starting with *prefix* (all
     of ``repro`` by default) for one scenario run."""
-    calls, ops, _events = scenario_calls(name)
+    calls, ops, _events, _errors = scenario_calls(name)
     return sum(count for (filename, func), count in calls.items()
                if filename.startswith(prefix)
                and func not in INLINED_FRAMES) / ops
@@ -173,19 +193,33 @@ def calls_per_op(name: str, prefix: str = REPRO_DIR) -> float:
 
 def pow_calls_per_op(name: str) -> float:
     """``math.pow`` calls per op for one scenario run."""
-    calls, ops, _events = scenario_calls(name)
+    calls, ops, _events, _errors = scenario_calls(name)
     return calls.get(("~", "<built-in method math.pow>"), 0) / ops
 
 
 def events_per_op(name: str) -> float:
     """Events executed per op for one scenario run."""
-    _calls, ops, events = scenario_calls(name)
+    _calls, ops, events, _errors = scenario_calls(name)
     return events / ops
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
 def test_calls_per_op_stay_under_ceiling(name):
     assert calls_per_op(name) <= CALLS_PER_OP_CEILING[name]
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
+def test_each_op_builds_only_its_request(name):
+    """One MetaRequest per op is the whole client/MDS op path: the reply's
+    values travel as call arguments, so an unrecorded, error-free run
+    builds no MetaReply (its ``__init__`` also counts as ``ops.py``'s)
+    and no pending-op object: ``Client.__init__`` is the only constructor
+    that runs in ``client.py``."""
+    calls, ops, _events, errors = scenario_calls(name)
+    assert errors == 0
+    assert calls[(OPS_FILE, "__init__")] == ops
+    assert (OPS_FILE, "of") not in calls
+    assert calls[(CLIENT_FILE, "__init__")] == scenario(name)[0].num_clients
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CALLS_PER_OP_CEILING))

@@ -4,9 +4,9 @@ invalidation / remote prefix traversals, client cap switching."""
 import pytest
 
 from repro.clients.client import Client
-from repro.clients.ops import MetaRequest, OpKind
+from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster
-from tests.conftest import make_config, parsed_request
+from tests.conftest import make_config, parsed_request, send_request
 
 
 def build(num_mds=2, **overrides):
@@ -50,12 +50,7 @@ class TestEffectiveSpread:
 
 class TestScatterGather:
     def issue(self, cluster, kind, path, rank):
-        req = MetaRequest(kind=kind, path=path, client_id=0,
-                          issued_at=cluster.engine.now)
-        done = cluster.engine.completion()
-        cluster.network.deliver(cluster.mdss[rank].receive_request, req,
-                                done)
-        return cluster.engine.run_until_complete(done)
+        return send_request(cluster, kind, path, rank)[0]
 
     def test_slave_writes_trigger_halts(self):
         cluster, d = build(num_mds=4,
@@ -194,10 +189,6 @@ class TestPrefixTraversals:
         cluster = SimulatedCluster(make_config(num_mds=2))
         cluster.namespace.mkdirs("/remote/sub")
         cluster.pin("/remote/sub", 1)  # /remote stays with rank 0
-        req = MetaRequest(kind=OpKind.CREATE, path="/remote/sub/f",
-                          client_id=0, issued_at=cluster.engine.now)
-        done = cluster.engine.completion()
-        cluster.network.deliver(cluster.mdss[1].receive_request, req, done)
-        cluster.engine.run_until_complete(done)
+        send_request(cluster, OpKind.CREATE, "/remote/sub/f", rank=1)
         # Rank 1 had to traverse /remote (auth rank 0) remotely.
         assert cluster.metrics.mds(1).prefix_traversals >= 1

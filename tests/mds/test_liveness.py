@@ -3,7 +3,7 @@
 from repro.cluster import SimulatedCluster
 from repro.core.policies import original_policy
 from repro.mds.heartbeat import HeartBeat, HeartbeatTable
-from tests.conftest import make_config
+from tests.conftest import awaited_request, make_config
 
 
 def beat(rank: int, sent_at: float) -> HeartBeat:
@@ -72,17 +72,15 @@ class TestDeadRankDetection:
         assert recent.skipped == "no live peers"
 
     def test_dead_rank_requests_complete_after_restart(self):
-        from repro.clients.ops import MetaRequest, OpKind
+        from repro.clients.ops import OpKind
 
         cluster = SimulatedCluster(make_config(num_mds=2))
         cluster.namespace.mkdirs("/d")
         cluster.namespace.create("/d/f0")
         mds = cluster.mdss[0]
         mds.crash()
-        req = MetaRequest(kind=OpKind.STAT, path="/d/f0", client_id=0,
-                          issued_at=cluster.engine.now)
-        done = cluster.engine.completion()
-        mds.receive_request(req, done)
+        req, done = awaited_request(cluster, OpKind.STAT, "/d/f0")
+        mds.receive_request(req)
         cluster.engine.schedule(1.0, mds.restart)
         reply = cluster.engine.run_until_complete(done)
         assert reply.ok
@@ -94,16 +92,14 @@ class TestDeadRankDetection:
         # READDIR addresses the directory itself, not its parent's dirfrag:
         # while the directory's rank is down, the bounced request waits
         # instead of ping-ponging through the parent's (live) rank.
-        from repro.clients.ops import MetaRequest, OpKind
+        from repro.clients.ops import OpKind
 
         cluster = SimulatedCluster(make_config(num_mds=2))
         cluster.namespace.mkdirs("/a/b")
         cluster.pin("/a/b", 1)
         cluster.mdss[1].crash()
-        req = MetaRequest(kind=OpKind.READDIR, path="/a/b", client_id=0,
-                          issued_at=cluster.engine.now)
-        done = cluster.engine.completion()
-        cluster.mdss[1].receive_request(req, done)
+        req, done = awaited_request(cluster, OpKind.READDIR, "/a/b")
+        cluster.mdss[1].receive_request(req)
         cluster.engine.run_until(0.5)
         live = cluster.mdss[0]
         assert live.metrics.forwards == 0

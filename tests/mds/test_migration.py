@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.clients.ops import MetaRequest, OpKind
+from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster
 from repro.mds.migration import ExportUnit
-from tests.conftest import make_config
+from tests.conftest import make_config, send_request
 
 
 def build_cluster(num_mds=2, files=20):
@@ -135,11 +135,7 @@ class TestMigrator:
         d = cluster.namespace.resolve_dir("/d")
         process = cluster.mdss[0].migrator.export(ExportUnit(d), 1)
         cluster.engine.run_until(0.001)
-        req = MetaRequest(kind=OpKind.CREATE, path="/d/new",
-                          client_id=0, issued_at=cluster.engine.now)
-        done = cluster.engine.completion()
-        cluster.network.deliver(cluster.mdss[0].receive_request, req, done)
-        reply = cluster.engine.run_until_complete(done)
+        reply, _req = send_request(cluster, OpKind.CREATE, "/d/new")
         assert reply.ok
         # Served only after the two-phase commit finished, by the importer.
         assert process.completion.done

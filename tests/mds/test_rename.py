@@ -2,21 +2,15 @@
 
 import pytest
 
-from repro.clients.ops import MetaRequest, OpKind
+from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster, run_experiment
 from repro.namespace.tree import Namespace
 from repro.workloads import TraceWorkload
-from tests.conftest import make_config
+from tests.conftest import make_config, send_request
 
 
 def issue(cluster, kind, path, rank=0, dst=None):
-    req = MetaRequest(kind=kind, path=path, client_id=0,
-                      issued_at=cluster.engine.now)
-    if dst is not None:
-        req.dst = dst
-    done = cluster.engine.completion()
-    cluster.network.deliver(cluster.mdss[rank].receive_request, req, done)
-    return cluster.engine.run_until_complete(done)
+    return send_request(cluster, kind, path, rank, dst=dst)[0]
 
 
 class TestNamespaceRename:

@@ -5,18 +5,14 @@ through it.
 """
 
 
-from repro.clients.ops import MetaRequest, OpKind
+from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster
-from tests.conftest import make_config
+from tests.conftest import make_config, send_request
 
 
 def issue(cluster, kind, path, rank=0, client_id=0):
     """Send one request to a given rank and run until the reply."""
-    req = MetaRequest(kind=kind, path=path, client_id=client_id,
-                      issued_at=cluster.engine.now)
-    done = cluster.engine.completion()
-    cluster.network.deliver(cluster.mdss[rank].receive_request, req, done)
-    return cluster.engine.run_until_complete(done)
+    return send_request(cluster, kind, path, rank, client_id)[0]
 
 
 class TestServing:

@@ -2,19 +2,14 @@
 noisy CPU snapshots, fully-owned subtree checks."""
 
 
-from repro.clients.ops import MetaRequest, OpKind
+import pytest
+
+from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster
 from repro.core.balancer import MantleBalancer
 from repro.mds.server import MAX_HOPS
-from tests.conftest import make_config
-
-
-def issue(cluster, kind, path, rank=0, client_id=0):
-    req = MetaRequest(kind=kind, path=path, client_id=client_id,
-                      issued_at=cluster.engine.now)
-    done = cluster.engine.completion()
-    cluster.network.deliver(cluster.mdss[rank].receive_request, req, done)
-    return cluster.engine.run_until_complete(done), req
+from tests.conftest import awaited_request, make_config
+from tests.conftest import send_request as issue  # (reply, req)
 
 
 class TestStoreCommits:
@@ -49,10 +44,8 @@ class TestCarriedDirfrag:
         d = cluster.namespace.resolve_dir("/d")
         mds = cluster.mdss[0]
         mds.cache.clear()  # the directory object must come from RADOS
-        req = MetaRequest(kind=OpKind.CREATE, path="/d/new", client_id=0,
-                          issued_at=cluster.engine.now)
-        done = cluster.engine.completion()
-        cluster.network.deliver(mds.receive_request, req, done)
+        req, done = awaited_request(cluster, OpKind.CREATE, "/d/new")
+        cluster.network.deliver(mds.receive_request, req)
         while mds.metrics.fetches == 0:
             assert cluster.engine.step()
         carried = req.route[2]
@@ -74,15 +67,33 @@ class TestHopCap:
         cluster = SimulatedCluster(make_config(num_mds=2))
         cluster.namespace.mkdirs("/d")
         cluster.pin("/d", 1)
-        req = MetaRequest(kind=OpKind.CREATE, path="/d/f", client_id=0,
-                          issued_at=cluster.engine.now)
-        req.hops.extend([0, 1] * (MAX_HOPS // 2))  # simulate chasing
-        done = cluster.engine.completion()
-        cluster.network.deliver(cluster.mdss[0].receive_request, req, done)
+        req, done = awaited_request(cluster, OpKind.CREATE, "/d/f")
+        req.hops = MAX_HOPS  # simulate chasing
+        cluster.network.deliver(cluster.mdss[0].receive_request, req)
         reply = cluster.engine.run_until_complete(done)
         assert reply.ok
-        # Served by whoever had it after the cap, without another forward.
-        assert len(req.hops) <= MAX_HOPS + 1
+        # Rank 0 counted its hop and served the request past the cap
+        # instead of forwarding it to rank 1.
+        assert req.hops == MAX_HOPS + 1
+        assert reply.served_by == 0
+        assert reply.forwards == MAX_HOPS
+        assert cluster.metrics.mds(0).forwards == 0
+
+    @pytest.mark.parametrize("hops, served_by",
+                             [(MAX_HOPS - 2, 1), (MAX_HOPS - 1, 0)])
+    def test_cap_counts_the_hop_taken_here(self, hops, served_by):
+        """A rank forwards only while the request has taken fewer than
+        MAX_HOPS hops, counting its own."""
+        cluster = SimulatedCluster(make_config(num_mds=2))
+        cluster.namespace.mkdirs("/d")
+        cluster.pin("/d", 1)
+        req, done = awaited_request(cluster, OpKind.CREATE, "/d/f")
+        req.hops = hops
+        cluster.network.deliver(cluster.mdss[0].receive_request, req)
+        reply = cluster.engine.run_until_complete(done)
+        assert reply.served_by == served_by
+        assert cluster.metrics.mds(0).forwards == (served_by == 1)
+        assert req.hops == MAX_HOPS
 
 
 class TestReaddirScaling:

@@ -110,6 +110,23 @@ class TestCompileWorkload:
                               if k is OpKind.READDIR)
         assert count(four) == 4 * count(one)
 
+    def test_object_files_keep_a_dotted_base(self):
+        """Only a source's ".c" suffix becomes ".oN": a ".c" in the base
+        path stays, so each object lands beside its source."""
+        dotted = CompileWorkload(1, scale=0.05, base="/proj.c", seed=1)
+        plain = CompileWorkload(1, scale=0.05, base="/src", seed=1)
+        ops = list(dotted.client_ops(0))
+        assert ops == [(kind, "/proj.c" + path[len("/src"):])
+                       for kind, path in plain.client_ops(0)]
+        made = {"/proj.c"} | {p for k, p in ops if k is OpKind.MKDIR}
+        objects = [p for k, p in ops
+                   if k is OpKind.CREATE and ".o" in p.rsplit("/", 1)[1]]
+        assert len(objects) == 14
+        for path in objects:
+            directory, name = path.rsplit("/", 1)
+            assert directory in made
+            assert name[:-1].endswith(".o") and name[-1] in "0123456"
+
     def test_scale_controls_size(self):
         small = CompileWorkload(1, scale=0.5).total_ops()
         large = CompileWorkload(1, scale=2.0).total_ops()
