@@ -62,42 +62,17 @@ def write_report(name: str, lines: list[str]) -> Path:
     return path
 
 
-def _cell_fingerprint(config, workload, policy, max_time: float) -> str:
-    """Content fingerprint of one harness cell (see repro.perf.fingerprint).
-
-    Workload identity is its class plus all constructor-derived attributes
-    (every workload stores plain data), so resizing a grid cell or editing
-    a policy's Lua is a cache miss.
-    """
-    from dataclasses import asdict
-
-    from repro.core.policyfile import dump_policy
-    from repro.perf.fingerprint import experiment_fingerprint
-
-    payload = {
-        "config": asdict(config),
-        "workload": [type(workload).__name__,
-                     {key: value for key, value
-                      in sorted(vars(workload).items())}],
-        "policy": dump_policy(policy) if policy is not None else "",
-        "max_time": max_time,
-    }
-    return experiment_fingerprint("harness", payload)
-
-
 def run_cells(cells, max_time: float = 36_000.0):
     """Run a named grid of benchmark cells: ``{name: SimReport}``.
 
     *cells* is a list of ``(name, config, workload_factory,
-    policy_factory-or-None)``.  Cells already in the result cache are
-    loaded instead of simulated; the rest run through the forked grid
-    runner (:mod:`repro.perf.grid`), where cells that differ only in
-    policy share the simulation up to the first heartbeat, or through
-    plain ``run_experiment`` for a lone cell or where ``os.fork`` is
+    policy_factory-or-None)``.  Cells run through the forked grid runner
+    (:mod:`repro.perf.grid`), where cells that differ only in policy
+    share the simulation up to the first heartbeat, or through plain
+    ``run_experiment`` for a lone cell or where ``os.fork`` is
     unavailable.  Reports are byte-identical to cold runs either way.
     """
     from repro.cluster import SimulatedCluster, run_experiment
-    from repro.perf.cache import open_cache
     from repro.perf.grid import fork_supported, run_forked
 
     def cold(cell):
@@ -130,31 +105,12 @@ def run_cells(cells, max_time: float = 36_000.0):
     names = [cell[0] for cell in cells]
     if len(set(names)) != len(names):
         raise ValueError("cell names must be unique")
-    cache = open_cache()
-    keys = {}
-    reports = {}
-    pending = []
-    for cell in cells:
-        name, config, workload_factory, policy_factory = cell
-        policy = policy_factory() if policy_factory else None
-        key = _cell_fingerprint(config, workload_factory(), policy,
-                                max_time)
-        keys[name] = key
-        cached = cache.get_object(key) if cache is not None else None
-        if cached is not None:
-            reports[name] = cached
-        else:
-            pending.append(cell)
-    if len(pending) > 1 and fork_supported():
-        fresh = run_forked(pending, key=prefix_key, begin=begin,
-                           finish=finish, cold=cold)
+    if len(cells) > 1 and fork_supported():
+        reports = run_forked(cells, key=prefix_key, begin=begin,
+                             finish=finish, cold=cold)
     else:
-        fresh = [cold(cell) for cell in pending]
-    for (name, *_rest), report in zip(pending, fresh):
-        reports[name] = report
-        if cache is not None and report.heat is None:
-            cache.put_object(keys[name], report)
-    return {name: reports[name] for name in names}
+        reports = [cold(cell) for cell in cells]
+    return dict(zip(names, reports))
 
 
 def speedup_pct(baseline: float, measured: float) -> float:

@@ -304,16 +304,25 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(part) for part in parts]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .perf.cache import open_cache
     from .perf.sweep import (build_specs, format_report, normalize_policy,
-                             run_sweep_cached)
-    seeds = _parse_seeds(args.seeds)
+                             run_sweep)
     policies = [part.strip() for part in args.policies.split(",")
                 if part.strip()]
     try:
         specs = build_specs(
-            seeds, policies,
+            _parse_seeds(args.seeds), policies,
             workload=args.workload,
             num_mds=args.mds,
             num_clients=args.clients,
@@ -329,40 +338,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-    cache = open_cache(enabled=not args.no_cache)
-    records, hits, misses = run_sweep_cached(
-        specs, jobs=args.jobs, cache=cache)
+    records = run_sweep(specs, jobs=args.jobs)
     sys.stdout.write(format_report(records))
-    # The footer goes to stderr: stdout stays byte-identical across
-    # fresh and cached runs at any --jobs (CI diffs it against
-    # examples/expected/sweep.txt).
-    if cache is not None:
-        print(f"cache: {hits} hit{'s' if hits != 1 else ''}, "
-              f"{misses} miss{'es' if misses != 1 else ''} "
-              f"({cache.root})", file=sys.stderr)
     if args.out:
         import json
         Path(args.out).write_text(
             json.dumps(records, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    from .perf.cache import ResultCache
-    cache = ResultCache()
-    if args.action == "stats":
-        stats = cache.stats()
-        print(f"dir:     {stats['dir']}")
-        print(f"entries: {stats['entries']} "
-              f"({stats['records']} records, {stats['objects']} objects)")
-        print(f"bytes:   {stats['bytes']}")
-        return 0
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} "
-              f"from {cache.root}")
-        return 0
-    raise SystemExit(f"unknown cache action {args.action!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,23 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="canary this stock policy in every cell")
     sweep.add_argument("--canary-at", type=float, default=30.0)
     sweep.add_argument("--canary-window", type=float, default=20.0)
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (1 = serial; output is "
                             "byte-identical either way)")
     sweep.add_argument("--out", default=None, metavar="FILE",
                        help="also write per-cell records as JSON")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="skip the result cache (REPRO_NO_CACHE=1 "
-                            "does the same)")
     sweep.add_argument("--no-lint", action="store_true",
                        help="bypass the static-analysis injection gate "
                             "in every cell")
     sweep.set_defaults(func=cmd_sweep)
-
-    cache = sub.add_parser(
-        "cache", help="inspect or clear the result cache")
-    cache.add_argument("action", choices=("stats", "clear"))
-    cache.set_defaults(func=cmd_cache)
     return parser
 
 

@@ -309,21 +309,28 @@ class MdsServer:
             # "requests involving prefix path traversals").
             self.metrics.prefix_traversals += remote_prefixes
             delay += remote_prefixes * self.config.prefix_traversal_time
+        if not needs_fetch and delay <= 0:
+            self._apply(req, parent, leaf, frag)
+            return
+
+        def resume(_completion=None) -> None:
+            # The rank may have crashed while the op waited: bounce it
+            # like a request drained from the queue.
+            if self.alive:
+                self._apply(req, parent, leaf, frag)
+            else:
+                self._retry_dead(req)
+
         if needs_fetch:
             # Authoritative directory object not in memory: fetch it from
             # RADOS, then apply.
             self.metrics.fetches += 1
             self.namespace.record_frag_hit(frag, "FETCH", now)
             obj = f"dir.{parent.inode.ino}"
-            fetched = self.rados.read(obj, self.config.dir_object_bytes)
-            fetched.add_callback(
-                lambda _c: self._apply(req, parent, leaf, frag)
-            )
-            return
-        if delay > 0:
-            self.engine.schedule(delay, self._apply, req, parent, leaf, frag)
-            return
-        self._apply(req, parent, leaf, frag)
+            self.rados.read(obj, self.config.dir_object_bytes) \
+                .add_callback(resume)
+        else:
+            self.engine.schedule(delay, resume)
 
     def _apply(self, req: MetaRequest, parent: Directory,
                leaf: Optional[str], frag: DirFrag) -> None:

@@ -1,4 +1,4 @@
-"""Performance harness: parallel sweeps, result cache, profiling.
+"""Performance harness: parallel sweeps and profiling.
 
 The sweep runner fans (seed x policy) experiments over forked children
 (:mod:`repro.perf.grid`): cells that differ only in policy share one

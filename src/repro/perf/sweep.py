@@ -65,9 +65,7 @@ class RunSpec:
     dir_split_size: int = 1000
     max_time: float = 36_000.0
     heartbeat_interval: float = 10.0
-    # Policy lifecycle (see repro.lifecycle).  All of these change the
-    # run's behaviour and are therefore part of the cell's cache
-    # fingerprint (perf/fingerprint.py).
+    # Policy lifecycle (see repro.lifecycle).
     guard: bool = False
     shadow_policy: str = "none"
     canary_policy: str = "none"
@@ -75,15 +73,17 @@ class RunSpec:
     canary_window: float = 20.0
     #: Gate injected policies behind the static analyzer
     #: (repro.analysis).  Lint is pure bookkeeping -- results are
-    #: byte-identical either way -- but the flag is part of the spec (and
-    #: hence the cache fingerprint) because a lint-failing policy errors
-    #: with lint=True and runs with lint=False.
+    #: byte-identical either way -- but the flag is part of the spec
+    #: because a lint-failing policy errors with lint=True and runs with
+    #: lint=False.
     lint: bool = True
 
 
 def build_specs(seeds: list[int], policies: list[str],
                 **common: Any) -> list[RunSpec]:
     """The sweep grid, ordered policies-major then seeds."""
+    if not seeds or not policies:
+        raise ValueError("a sweep needs at least one seed and one policy")
     return [RunSpec(seed=seed, policy=normalize_policy(policy), **common)
             for policy in policies for seed in seeds]
 
@@ -209,30 +209,6 @@ def run_sweep(specs: list[RunSpec], jobs: int = 1) -> list[dict[str, Any]]:
         return [execute_spec(spec) for spec in specs]
     with multiprocessing.Pool(processes=min(jobs, len(specs))) as pool:
         return pool.map(execute_spec, specs)
-
-
-def run_sweep_cached(specs: list[RunSpec], jobs: int = 1, cache=None
-                     ) -> tuple[list[dict[str, Any]], int, int]:
-    """``run_sweep`` behind the content-addressed result cache.
-
-    Returns ``(records, hits, misses)``.  Cells whose fingerprint (sources
-    + config + policy text + seed, see :mod:`repro.perf.fingerprint`) has
-    a stored record skip simulation entirely; the rest run through
-    ``run_sweep`` and are stored for next time.  With *cache* None
-    (disabled) every cell is a miss and nothing is stored.
-    """
-    if cache is None:
-        return run_sweep(specs, jobs=jobs), 0, len(specs)
-    from .fingerprint import spec_fingerprint
-    keys = [spec_fingerprint(spec) for spec in specs]
-    records: list[dict[str, Any] | None] = [cache.get_record(key)
-                                            for key in keys]
-    missing = [i for i, record in enumerate(records) if record is None]
-    fresh = run_sweep([specs[i] for i in missing], jobs=jobs)
-    for i, record in zip(missing, fresh):
-        cache.put_record(keys[i], record)
-        records[i] = record
-    return records, len(specs) - len(missing), len(missing)
 
 
 def format_report(records: list[dict[str, Any]]) -> str:

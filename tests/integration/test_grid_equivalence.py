@@ -1,11 +1,9 @@
-"""The forked grid runner and the result cache must be invisible.
+"""The forked grid runner must be invisible.
 
 The grid runner (``repro.perf.grid``) forks cells that differ only in
-policy off one simulation advanced to the first heartbeat; the result
-cache skips cells entirely.  Both must return records *byte-identical*
-to cold, unsplit runs (``execute_spec``) -- same summary lines, same
-latency percentiles bit-for-bit -- and the cache must miss whenever
-anything sim-visible changes (sources, policy text, seed).
+policy off one simulation advanced to the first heartbeat.  It must
+return records *byte-identical* to cold, unsplit runs (``execute_spec``)
+-- same summary lines, same latency percentiles bit-for-bit.
 """
 
 import json
@@ -18,15 +16,12 @@ import pytest
 from repro.cluster import SimulatedCluster
 from repro.core.policies import STOCK_POLICIES
 from repro.perf import sweep
-from repro.perf.cache import ResultCache, cache_disabled, open_cache
-from repro.perf.fingerprint import spec_fingerprint, sources_digest
 from repro.perf.grid import fork_supported
 from repro.perf.sweep import (
     build_specs,
     execute_spec,
     format_report,
     run_sweep,
-    run_sweep_cached,
 )
 
 needs_fork = pytest.mark.skipif(not fork_supported(),
@@ -184,87 +179,3 @@ class TestGridEquivalence:
             peak = max(peak, running)
         assert peak <= jobs
 
-
-# ---------------------------------------------------------------------------
-# Result cache.
-# ---------------------------------------------------------------------------
-
-class TestResultCache:
-    def test_hit_returns_identical_record(self, tmp_path):
-        specs = small_specs()[:3]
-        cache = ResultCache(tmp_path)
-        first, hits, misses = run_sweep_cached(specs, cache=cache)
-        assert (hits, misses) == (0, 3)
-        second, hits, misses = run_sweep_cached(specs, cache=cache)
-        assert (hits, misses) == (3, 0)
-        assert json.dumps(first, sort_keys=True) \
-            == json.dumps(second, sort_keys=True) \
-            == json.dumps(cold(specs), sort_keys=True)
-        # per_mds_ops ranks survive the JSON round trip as ints.
-        assert all(isinstance(rank, int)
-                   for rank in second[0]["per_mds_ops"])
-
-    def test_partial_hits_fill_only_the_gaps(self, tmp_path):
-        specs = small_specs()
-        cache = ResultCache(tmp_path)
-        run_sweep_cached(specs[:2], cache=cache)
-        records, hits, misses = run_sweep_cached(specs, cache=cache)
-        assert (hits, misses) == (2, len(specs) - 2)
-        assert records == cold(specs)
-
-    def test_disabled_cache_runs_everything(self, tmp_path):
-        specs = small_specs()[:2]
-        records, hits, misses = run_sweep_cached(specs, cache=None)
-        assert (hits, misses) == (0, 2)
-        assert records == cold(specs)
-
-    def test_no_cache_env_kills_open_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert open_cache() is not None
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert cache_disabled()
-        assert open_cache() is None
-
-    def test_stats_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_sweep_cached(small_specs()[:2], cache=cache)
-        stats = cache.stats()
-        assert stats["records"] == 2 and stats["bytes"] > 0
-        assert cache.clear() == 2
-        assert cache.stats()["entries"] == 0
-
-    def test_rejects_non_hex_keys(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ValueError):
-            cache.put_record("../escape", {})
-
-
-# ---------------------------------------------------------------------------
-# Fingerprint invalidation.
-# ---------------------------------------------------------------------------
-
-class TestFingerprintInvalidation:
-    def test_seed_and_policy_change_the_key(self):
-        specs = build_specs([0, 1], ["greedy-spill", "fill-and-spill"],
-                            **SMALL)
-        keys = {spec_fingerprint(spec) for spec in specs}
-        assert len(keys) == len(specs)
-
-    def test_policy_text_edit_is_a_miss(self, monkeypatch):
-        # Same policy *name*, different Lua body -> different key.
-        from dataclasses import replace
-
-        spec = build_specs([0], ["greedy-spill"], **SMALL)[0]
-        before = spec_fingerprint(spec)
-        original = STOCK_POLICIES["greedy-spill"]
-
-        def edited():
-            policy = original()
-            return replace(policy, when="return false")
-
-        monkeypatch.setitem(STOCK_POLICIES, "greedy-spill", edited)
-        assert spec_fingerprint(spec) != before
-
-    def test_sources_digest_is_stable_within_process(self):
-        assert sources_digest() == sources_digest()
-        assert len(sources_digest()) == 64

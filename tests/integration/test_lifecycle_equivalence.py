@@ -1,15 +1,12 @@
-"""Lifecycle equivalence and cache-correctness.
+"""Lifecycle equivalence.
 
-Three properties the lifecycle machinery must not break:
+Two properties the lifecycle machinery must not break:
 
 1. **Shadow passivity** -- a shadowed run's decisions and report are
    byte-identical to the unshadowed run's (minus the shadow log itself).
 2. **Canary determinism** -- a canary-rollback scenario produces
    byte-identical records from a cold run and from the forked sweep
    runner at any ``--jobs``.
-3. **Fingerprint coverage** -- lifecycle configuration (guard, shadow,
-   canary) is part of the cell fingerprint, so a guarded run and an
-   unguarded run never alias in the result cache.
 """
 
 import json
@@ -20,14 +17,7 @@ import pytest
 from repro.cluster import SimulatedCluster
 from repro.core.api import MantlePolicy
 from repro.core.policies import STOCK_POLICIES, greedy_spill_policy
-from repro.perf.cache import ResultCache
-from repro.perf.fingerprint import spec_fingerprint
-from repro.perf.sweep import (
-    RunSpec,
-    execute_spec,
-    run_sweep,
-    run_sweep_cached,
-)
+from repro.perf.sweep import RunSpec, execute_spec, run_sweep
 from repro.workloads import CreateWorkload
 from tests.conftest import make_config
 
@@ -117,34 +107,3 @@ class TestSweepShadowRecord:
         assert plain["shadow"] is None
         assert shadowed["shadow"]["ticks"] >= 1
 
-
-class TestLifecycleFingerprints:
-    BASE = RunSpec(seed=1, policy="greedy-spill")
-
-    def test_every_lifecycle_knob_changes_the_fingerprint(self):
-        base_fp = spec_fingerprint(self.BASE)
-        variants = [
-            replace(self.BASE, guard=True),
-            replace(self.BASE, shadow_policy="fill-and-spill"),
-            replace(self.BASE, canary_policy="fill-and-spill"),
-            replace(self.BASE, canary_at=31.0),
-            replace(self.BASE, canary_window=21.0),
-        ]
-        fingerprints = {spec_fingerprint(variant) for variant in variants}
-        assert base_fp not in fingerprints
-        assert len(fingerprints) == len(variants)
-
-    def test_guarded_cell_never_reuses_an_unguarded_record(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        spec = RunSpec(seed=2, policy="greedy-spill", num_clients=2,
-                       files_per_client=2000, dir_split_size=400)
-        _, hits, misses = run_sweep_cached([spec], cache=cache)
-        assert (hits, misses) == (0, 1)
-        # Same cell again: a hit.
-        _, hits, misses = run_sweep_cached([spec], cache=cache)
-        assert (hits, misses) == (1, 0)
-        # The guarded variant must miss (and re-simulate), not alias.
-        guarded = replace(spec, guard=True)
-        records, hits, misses = run_sweep_cached([guarded], cache=cache)
-        assert (hits, misses) == (0, 1)
-        assert records[0]["summary"]

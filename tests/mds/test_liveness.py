@@ -107,6 +107,30 @@ class TestDeadRankDetection:
         assert cluster.mdss[1].metrics.dead_letters == 1
         assert not done.done
 
+    def test_op_fetching_when_its_rank_crashes_completes_elsewhere(self):
+        # The create misses rank 0's cache and waits on the RADOS fetch of
+        # /d; the rank dies meanwhile.  The op must bounce like a queued
+        # request, not complete on the dead rank.
+        from repro.clients.ops import OpKind
+
+        cluster = SimulatedCluster(make_config(num_mds=2))
+        cluster.namespace.mkdirs("/d")
+        dead, live = cluster.mdss
+        req, done = awaited_request(cluster, OpKind.CREATE, "/d/f")
+        dead.receive_request(req)
+        while dead.metrics.fetches == 0:
+            assert cluster.engine.step()
+        dead.crash()
+        cluster.pin("/d", 1)
+        reply = cluster.engine.run_until_complete(done)
+        cluster.engine.run_until(cluster.engine.now + 1.0)
+        assert reply.ok
+        assert reply.served_by == 1
+        assert dead.metrics.ops_served == 0
+        assert live.metrics.ops_served == 1
+        assert dead.metrics.dead_letters == 1
+        assert cluster.namespace.resolve_dir("/d").entry_count() == 1
+
     def test_restart_replays_journal(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         mds = cluster.mdss[0]

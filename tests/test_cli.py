@@ -116,3 +116,43 @@ class TestRun:
         code = main(["run", "--workload", "zipf", "--mds", "1",
                      "--clients", "1", "--files", "200", "--ops", "300"])
         assert code == 0
+
+
+class TestSweep:
+    TINY = ["sweep", "--seeds", "1", "--policies", "greedy_spill",
+            "--clients", "2", "--files", "100", "--split-size", "100"]
+
+    @pytest.mark.parametrize("grid", [["--seeds", "0"], ["--seeds", ","],
+                                      ["--policies", ","]],
+                             ids=["zero-seeds", "no-seeds", "no-policies"])
+    def test_empty_grid_is_refused(self, grid, capsys):
+        with pytest.raises(SystemExit, match="at least one seed"):
+            main(self.TINY + grid)
+        assert capsys.readouterr().out == ""
+
+    def test_malformed_seed_is_refused(self, capsys):
+        with pytest.raises(SystemExit, match="invalid literal"):
+            main(self.TINY + ["--seeds", "1,x"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "-3"]],
+                             ids=["jobs-0", "jobs-negative"])
+    def test_jobs_below_one_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.TINY + argv)
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_sweep_writes_only_its_report(self, tmp_path):
+        # Every cell simulates: nothing lands in the home directory and
+        # stderr stays empty.
+        env = dict(os.environ, HOME=str(tmp_path),
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *self.TINY, "--seeds", "2",
+             "--jobs", "2"],
+            capture_output=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout.count(b"policy=greedy-spill") == 2
+        assert list(tmp_path.iterdir()) == []
