@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro import ClusterConfig, SimulatedCluster, run_experiment
 from repro.core.policies import adaptable_policy, greedy_spill_policy
-from repro.metrics import TraceRecorder, record_run
+from repro.metrics import load_ops, record_run, replay_workload, save_ops
 from repro.workloads import CheckpointWorkload
 
 
@@ -25,19 +25,21 @@ def main() -> None:
                                   files_per_round=10_000)
 
     print("== recording the baseline run (1 MDS) ==")
-    recorder, baseline = record_run(SimulatedCluster(config), workload)
+    baseline = record_run(SimulatedCluster(config), workload)
     print(baseline.summary_line())
-    print(f"captured {len(recorder.events)} ops; "
-          f"summary: {recorder.summary()}")
+    ops = baseline.ops
+    mean_ms = 1e3 * sum(op.latency for op in ops) / len(ops)
+    print(f"captured {len(ops)} ops from "
+          f"{len({op.client_id for op in ops})} clients: "
+          f"{sum(1 for op in ops if op.forwards)} forwarded, "
+          f"{sum(1 for op in ops if op.error)} errors, "
+          f"mean latency {mean_ms:.3f} ms")
 
     with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "checkpoint.jsonl"
-        recorder.save(trace_path)
-        print(f"trace saved to {trace_path} "
-              f"({trace_path.stat().st_size // 1024} KiB)")
-        reloaded = TraceRecorder.load(trace_path)
+        trace_path = save_ops(ops, Path(tmp) / "checkpoint.jsonl")
+        print(f"trace saved ({trace_path.stat().st_size // 1024} KiB)")
+        reloaded = load_ops(trace_path)
 
-    replay_workload = reloaded.to_workload()
     print()
     print("== replaying the identical ops under different balancers ==")
     for num_mds, policy, label in (
@@ -47,7 +49,7 @@ def main() -> None:
         report = run_experiment(
             ClusterConfig(num_mds=num_mds, num_clients=4,
                           dir_split_size=20_000, seed=7),
-            reloaded.to_workload(),
+            replay_workload(reloaded),
             policy=policy,
         )
         speedup = baseline.makespan / report.makespan - 1
@@ -55,7 +57,6 @@ def main() -> None:
               f"({speedup:+.1%} vs baseline) "
               f"migrations={report.total_migrations} "
               f"per_mds={report.per_mds_ops()}")
-    del replay_workload
 
 
 if __name__ == "__main__":

@@ -390,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="stock name, .lua file, or 'none'")
         command.add_argument("--workload", default="create",
                              choices=("create", "compile", "zipf"))
-        command.add_argument("--mds", type=int, default=2)
-        command.add_argument("--clients", type=int, default=4)
-        command.add_argument("--files", type=int, default=20_000,
+        command.add_argument("--mds", type=_positive_int, default=2)
+        command.add_argument("--clients", type=_positive_int, default=4)
+        command.add_argument("--files", type=_positive_int, default=20_000,
                              help="files per client (create) / "
                                   "population (zipf)")
         command.add_argument("--ops", type=int, default=20_000,
@@ -472,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "spellings accepted, e.g. fill_spill)")
     sweep.add_argument("--workload", default="create",
                        choices=("create", "zipf"))
-    sweep.add_argument("--mds", type=int, default=2)
-    sweep.add_argument("--clients", type=int, default=4)
-    sweep.add_argument("--files", type=int, default=2000,
+    sweep.add_argument("--mds", type=_positive_int, default=2)
+    sweep.add_argument("--clients", type=_positive_int, default=4)
+    sweep.add_argument("--files", type=_positive_int, default=2000,
                        help="files per client (create) / population (zipf)")
     sweep.add_argument("--ops", type=int, default=2000,
                        help="ops per client (zipf)")

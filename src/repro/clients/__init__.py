@@ -1,11 +1,10 @@
 """Simulated clients and the metadata operations they issue."""
 
 from .client import Client, WorkloadOp, build_clients
-from .ops import MetaReply, MetaRequest, OpKind
+from .ops import MetaRequest, OpKind
 
 __all__ = [
     "Client",
-    "MetaReply",
     "MetaRequest",
     "OpKind",
     "WorkloadOp",

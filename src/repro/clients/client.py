@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from ..metrics.collectors import ClusterMetrics
+from ..metrics.collectors import ClusterMetrics, OpRecord
 from ..namespace.dirfrag import name_hash
 from ..namespace.tree import split_path
 from ..sim.engine import SimEngine
 from ..sim.network import Network
-from .ops import MetaReply, MetaRequest, OpKind, parse_op_path
+from .ops import MetaRequest, OpKind, parse_op_path
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mds.server import MdsServer
@@ -149,9 +149,9 @@ class Client:
     def receive_reply(self, req: MetaRequest, served_by: int,
                       error: str | None, result, dir_path: str | None,
                       frag_map: tuple | None) -> None:
-        """The reply to *req* arrived: account it, hand it to the trace
-        sink if the run is recorded, learn the route (and the fragtree, on
-        a success) from it, and move the worker on to its next op."""
+        """The reply to *req* arrived: account it, append its op record if
+        the run is recorded, learn the route (and the fragtree, on a
+        success) from it, and move the worker on to its next op."""
         if req.done:
             raise RuntimeError("op already completed")
         req.done = True
@@ -161,9 +161,10 @@ class Client:
         self.ops_completed += 1
         if error is not None:
             self.errors += 1
-        if metrics.trace is not None:
-            metrics.trace(now, self.client_id, MetaReply.of(
-                req, now, served_by, error, result, dir_path, frag_map))
+        if metrics.record_ops:
+            metrics.record(now, "op", served_by, OpRecord(
+                now, served_by, self.client_id, req.kind.value, req.path,
+                req.dst, now - req.issued_at, req.forwards, result, error))
         self.mds_map[req.dir_path] = served_by
         if dir_path is not None and frag_map is not None:
             self.frag_maps[dir_path] = frag_map

@@ -6,7 +6,6 @@ import itertools
 from enum import Enum
 from typing import Any, Optional
 
-from ..dataclass import dataclass
 from ..namespace.tree import dir_and_leaf
 
 
@@ -110,40 +109,3 @@ class MetaRequest:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MetaRequest({self.kind.value}, {self.path!r}, "
                 f"client={self.client_id}, hops={self.hops})")
-
-
-@dataclass(slots=True)
-class MetaReply:
-    """A reply as one record, built only for a trace sink: the MDS sends
-    the values as the arguments of ``client.receive_reply``.
-
-    Real CephFS replies carry the directory's fragtree and the MDS map so
-    clients can route follow-up requests directly; ``dir_path``/``frag_map``
-    model that (``frag_map`` is a tuple of ``(bits, value, rank)``).
-    """
-
-    req_id: int
-    kind: OpKind
-    path: str
-    served_by: int
-    forwards: int
-    latency: float
-    result: Optional[Any] = None
-    error: Optional[str] = None
-    #: Destination path echoed back for renames (trace replay needs it).
-    dst: Optional[str] = None
-    dir_path: Optional[str] = None
-    frag_map: Optional[tuple[tuple[int, int, int], ...]] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    @classmethod
-    def of(cls, req: MetaRequest, now: float, served_by: int,
-           error: Optional[str], result: Any, dir_path: Optional[str],
-           frag_map: Optional[tuple]) -> "MetaReply":
-        """The reply *req* received at *now* with these values."""
-        return cls(req.req_id, req.kind, req.path, served_by, req.forwards,
-                   now - req.issued_at, result, error, req.dst, dir_path,
-                   frag_map)

@@ -41,9 +41,9 @@ class SimReport(RunRecordViews):
     """Everything a benchmark needs from one run.
 
     ``decisions``, ``fault_events``, ``lifecycle_events``,
-    ``shadow_log`` and ``shadow_summary`` are read-only views over
-    ``records``, the run-record stream as it stood when the report was
-    taken.
+    ``shadow_log``, ``shadow_summary`` and ``ops`` are read-only views
+    over ``records``, the run-record stream as it stood when the report
+    was taken.
     """
 
     config: ClusterConfig

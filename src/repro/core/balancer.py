@@ -73,31 +73,30 @@ class MantleBalancer:
     tick closes the breaker; a second failure trips it permanently.
     States: ``closed -> open -> probation -> closed | permanent``.
 
+    ``events`` is the ``(time, kind, rank, detail)`` sink for breaker
+    transitions, each tick's decision (kind ``"decision"``) and each
+    shadow tick (kind ``"shadow"``), normally
+    :meth:`ClusterMetrics.record`; readers find the decisions there.
+
     Optional lifecycle collaborators:
 
     * ``guard`` -- a :class:`repro.lifecycle.StabilityGuard` consulted
       before every export (live ping-pong damping);
     * ``shadow`` -- a :class:`repro.lifecycle.ShadowEvaluator` fed each
-      tick's exact binding inputs, never affecting decisions;
-    * ``events`` -- ``(time, kind, rank, detail)`` sink for breaker
-      transitions, each tick's decision (kind ``"decision"``) and each
-      shadow tick (kind ``"shadow"``), normally
-      :meth:`ClusterMetrics.record`.
+      tick's exact binding inputs, never affecting decisions.
     """
 
     def __init__(self, policy: MantlePolicy,
+                 events: Callable[[float, str, int, object], None],
                  state: BalancerState | None = None,
                  error_threshold: int = 3,
                  probation_ticks: int = 0,
                  guard=None,
-                 shadow=None,
-                 events: Optional[Callable[[float, str, int, str], None]]
-                 = None) -> None:
+                 shadow=None) -> None:
         policy.compile_all()
         self.policy = policy
         self.state = state or BalancerState()
         self.metaload_fn = policy.metaload_fn()
-        self.decisions: list[BalanceDecision] = []
         self.errors = 0
         self.error_threshold = error_threshold
         self.probation_ticks = probation_ticks
@@ -128,10 +127,6 @@ class MantleBalancer:
         """The policy actually in charge (the fallback once tripped)."""
         return self._active
 
-    def _emit(self, now: float, kind: str, rank: int, detail: str) -> None:
-        if self.events is not None:
-            self.events(now, kind, rank, detail)
-
     def _record_error(self, decision: BalanceDecision, now: float,
                       error: str) -> None:
         decision.error = error
@@ -155,21 +150,21 @@ class MantleBalancer:
         self._active = fallback
         self.metaload_fn = fallback.metaload_fn()
         if permanent:
-            self._emit(now, "breaker-permanent", rank,
-                       f"policy '{self.policy.name}' failed probation; "
-                       "fallback is permanent")
+            self.events(now, "breaker-permanent", rank,
+                        f"policy '{self.policy.name}' failed probation; "
+                        "fallback is permanent")
         else:
-            self._emit(now, "breaker-open", rank,
-                       f"policy '{self.policy.name}' tripped after "
-                       f"{self.consecutive_errors} consecutive errors")
+            self.events(now, "breaker-open", rank,
+                        f"policy '{self.policy.name}' tripped after "
+                        f"{self.consecutive_errors} consecutive errors")
 
     def _enter_probation(self, now: float, rank: int) -> None:
         self.breaker = "probation"
         self._active = self.policy
         self.metaload_fn = self.policy.metaload_fn()
-        self._emit(now, "breaker-probation", rank,
-                   f"re-trying policy '{self.policy.name}' after "
-                   f"{self._clean_fallback_ticks} clean fallback ticks")
+        self.events(now, "breaker-probation", rank,
+                    f"re-trying policy '{self.policy.name}' after "
+                    f"{self._clean_fallback_ticks} clean fallback ticks")
 
     def _after_clean_tick(self, decision: BalanceDecision, now: float,
                           rank: int) -> None:
@@ -181,9 +176,9 @@ class MantleBalancer:
         elif self.breaker == "probation" and decision.skipped is None:
             self.breaker = "closed"
             self.consecutive_errors = 0
-            self._emit(now, "breaker-close", rank,
-                       f"policy '{self.policy.name}' survived probation; "
-                       "breaker closed")
+            self.events(now, "breaker-close", rank,
+                        f"policy '{self.policy.name}' survived probation; "
+                        "breaker closed")
 
     # ------------------------------------------------------------------
     def tick(self, mds: "MdsServer") -> BalanceDecision:
@@ -198,15 +193,14 @@ class MantleBalancer:
         decision = BalanceDecision(time=now, rank=mds.rank, went=False,
                                    fallback=self.tripped,
                                    probation=self.breaker == "probation")
-        self.decisions.append(decision)
-        self._emit(now, "decision", mds.rank, decision)
+        self.events(now, "decision", mds.rank, decision)
         self._tick_inner(mds, decision)
         if decision.error is None:
             self._after_clean_tick(decision, now, mds.rank)
         if self.shadow is not None:
-            self._emit(now, "shadow", mds.rank,
-                       self.shadow.observe(now, mds.rank, decision,
-                                           self._tick_inputs))
+            self.events(now, "shadow", mds.rank,
+                        self.shadow.observe(now, mds.rank, decision,
+                                            self._tick_inputs))
             self._tick_inputs = None
         return decision
 
@@ -432,13 +426,6 @@ class MantleBalancer:
             for node in directory.walk()
             for frag in node.frags.values()
         )
-
-    # -- reporting ------------------------------------------------------
-    def migrations_decided(self) -> int:
-        return sum(len(decision.exports) for decision in self.decisions)
-
-    def last_decision(self) -> Optional[BalanceDecision]:
-        return self.decisions[-1] if self.decisions else None
 
 
 def _is_ancestor(ancestor: Directory, node: Directory) -> bool:

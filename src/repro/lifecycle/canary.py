@@ -119,24 +119,28 @@ class CanaryController:
     def health_violations(self) -> list[str]:
         reasons: list[str] = []
         balancer = self.balancer
+        # Before promotion only the canary rank runs the candidate, from
+        # the start of the window on.
+        decisions = [d for d in self.cluster.metrics.decisions
+                     if d.rank == self.rank and d.time >= self.started_at]
         if balancer.errors > self.max_errors:
             reasons.append(
                 f"lua errors {balancer.errors} > {self.max_errors}"
             )
         if balancer.tripped:
             reasons.append("circuit breaker tripped")
-        migrations = balancer.migrations_decided()
+        migrations = sum(len(d.exports) for d in decisions)
         if (self.max_migrations is not None
                 and migrations > self.max_migrations):
             reasons.append(
                 f"migrations {migrations} > {self.max_migrations}"
             )
-        ping_pongs = self._ping_pong_moves()
+        ping_pongs = self._ping_pong_moves(decisions)
         if ping_pongs > self.max_ping_pongs:
             reasons.append(
                 f"ping-pong moves {ping_pongs} > {self.max_ping_pongs}"
             )
-        vetoes = sum(len(d.vetoes) for d in balancer.decisions)
+        vetoes = sum(len(d.vetoes) for d in decisions)
         if vetoes > 0:
             reasons.append(f"{vetoes} stability-guard vetoes")
         if self._baseline_p99 > 0 and self._latency_marks is not None:
@@ -154,12 +158,13 @@ class CanaryController:
                     )
         return reasons
 
-    def _ping_pong_moves(self) -> int:
-        """Re-exports of the same path by the candidate inside the window
-        (the unit came back and was shipped out again)."""
+    @staticmethod
+    def _ping_pong_moves(decisions: list) -> int:
+        """Re-exports of the same path in *decisions*, the candidate's
+        ticks (the unit came back and was shipped out again)."""
         counts = Counter(
             path
-            for decision in self.balancer.decisions
+            for decision in decisions
             for (path, _load, _target) in decision.exports
         )
         return sum(count - 1 for count in counts.values() if count > 1)

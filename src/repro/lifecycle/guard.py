@@ -17,7 +17,7 @@ execution.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 
 class StabilityGuard:
@@ -25,13 +25,13 @@ class StabilityGuard:
 
     One guard serves the whole cluster (every balancer consults the same
     move history -- a bounce is a cluster-wide property, not a per-rank
-    one).  ``events`` is an optional ``(time, kind, rank, detail)`` sink,
-    normally :meth:`ClusterMetrics.record`.
+    one).  ``events`` is the ``(time, kind, rank, detail)`` sink each
+    veto is recorded to (kind ``"guard-veto"``), normally
+    :meth:`ClusterMetrics.record`.
     """
 
-    def __init__(self, window: float = 60.0, max_bounces: int = 2,
-                 events: Optional[Callable[[float, str, int, str], None]]
-                 = None) -> None:
+    def __init__(self, events: Callable[[float, str, int, str], None],
+                 window: float = 60.0, max_bounces: int = 2) -> None:
         if window <= 0:
             raise ValueError("guard window must be positive")
         if max_bounces < 1:
@@ -41,9 +41,6 @@ class StabilityGuard:
         self.events = events
         #: path -> [(time, source, target), ...] inside the window.
         self._moves: dict[str, list[tuple[float, int, int]]] = {}
-        self.vetoes = 0
-        #: Vetoes since the given cursor (for canary health windows).
-        self._veto_log: list[tuple[float, str, int, int]] = []
 
     # -- the live-path check -------------------------------------------
     def allow(self, path: str, source: int, target: int,
@@ -66,12 +63,9 @@ class StabilityGuard:
                 bounces += 1
         if bounces < self.max_bounces:
             return True
-        self.vetoes += 1
-        self._veto_log.append((now, path, source, target))
-        if self.events is not None:
-            self.events(now, "guard-veto", source,
-                        f"{path}: mds{source}->mds{target} bounce "
-                        f"{bounces} within {self.window:g}s")
+        self.events(now, "guard-veto", source,
+                    f"{path}: mds{source}->mds{target} bounce "
+                    f"{bounces} within {self.window:g}s")
         return False
 
     def record(self, path: str, source: int, target: int,
@@ -86,8 +80,3 @@ class StabilityGuard:
             self._moves[path] = history = [move for move in history
                                            if move[0] >= floor]
         return history
-
-    # -- health-window views -------------------------------------------
-    def vetoes_since(self, t0: float) -> int:
-        return sum(1 for time, _path, _s, _t in self._veto_log
-                   if time >= t0)

@@ -4,6 +4,7 @@ from .collectors import (
     ClusterMetrics,
     LatencyRecorder,
     MdsMetrics,
+    OpRecord,
     RunEvent,
     Timeline,
 )
@@ -17,24 +18,26 @@ from .render import (
     timeline_to_csv,
 )
 from .stats import Summary, coefficient_of_variation, speedup, summarize
-from .tracing import TraceEvent, TraceRecorder, record_run
+from .tracing import load_ops, record_run, replay_workload, save_ops
 
 __all__ = [
     "ClusterMetrics",
     "HeatSampler",
     "LatencyRecorder",
     "MdsMetrics",
+    "OpRecord",
     "RunEvent",
     "Summary",
-    "TraceEvent",
-    "TraceRecorder",
     "Timeline",
     "coefficient_of_variation",
+    "load_ops",
     "record_run",
+    "replay_workload",
     "render_table",
     "render_timelines",
     "report_row",
     "reports_to_csv",
+    "save_ops",
     "sparkline",
     "timeline_to_csv",
     "default_heat",

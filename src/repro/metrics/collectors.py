@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import field
-from typing import Callable, Optional
+from typing import Any, ClassVar, Optional
 
 import numpy as np
 
@@ -174,9 +174,10 @@ LIFECYCLE_KINDS = frozenset({
     "breaker-open", "breaker-probation", "breaker-close",
     "breaker-permanent", "policy-commit",
 })
-#: Kinds whose producer passes its own record object as the detail:
-#: a balancer tick's ``BalanceDecision`` and a shadow's ``ShadowTick``.
-SELF_RECORDED_KINDS = frozenset({"decision", "shadow"})
+#: Kinds whose producer makes its own record object: a balancer tick's
+#: ``BalanceDecision``, a shadow's ``ShadowTick`` and a client's
+#: :class:`OpRecord`.
+SELF_RECORDED_KINDS = frozenset({"decision", "shadow", "op"})
 
 
 @dataclass(frozen=True)
@@ -189,15 +190,39 @@ class RunEvent:
     detail: str = ""
 
 
+@dataclass(slots=True)
+class OpRecord:
+    """One completed client op, kept only while the run is recorded
+    (``ClusterMetrics.record_ops``).  ``time`` is the reply's arrival at
+    the client and ``latency`` runs from issue to then, as the report's
+    latencies do; ``rank`` served the op after ``forwards`` forwards."""
+
+    kind: ClassVar[str] = "op"
+    time: float
+    rank: int
+    client_id: int
+    op: str
+    path: str
+    dst: Optional[str]
+    latency: float
+    forwards: int
+    result: Any
+    error: Optional[str]
+
+
 class RunRecordViews:
     """Read-only views over ``records``, the run-record stream.
 
-    The stream holds :class:`RunEvent`, ``BalanceDecision`` and
-    ``ShadowTick`` records in the order they happened; each has ``time``,
-    ``kind`` and ``rank``.
+    The stream holds :class:`RunEvent`, ``BalanceDecision``,
+    ``ShadowTick`` and :class:`OpRecord` records in the order they
+    happened; each has ``time``, ``kind`` and ``rank``.
     """
 
     records: list
+
+    @property
+    def ops(self) -> list[OpRecord]:
+        return [r for r in self.records if r.kind == "op"]
 
     @property
     def decisions(self) -> list:
@@ -229,9 +254,9 @@ class ClusterMetrics(RunRecordViews):
     client_op_counts: dict[int, int] = field(default_factory=dict)
     #: The run-record stream, appended to through :meth:`record`.
     records: list = field(default_factory=list)
-    #: ``(now, client_id, reply)`` sink that clients hand every reply to
-    #: while a run is being recorded (see ``metrics.tracing.record_run``).
-    trace: Optional[Callable] = None
+    #: True while a run is being recorded: every client appends an
+    #: :class:`OpRecord` per reply (see ``metrics.tracing.record_run``).
+    record_ops: bool = False
 
     def record(self, time: float, kind: str, rank: int,
                detail="") -> None:

@@ -1,8 +1,9 @@
-"""Op-level trace recording and replay.
+"""Op-level recording and replay.
 
-:func:`record_run` captures every client operation of a run (completion
-time, kind, path, latency, serving rank) in a :class:`TraceRecorder`.
-Recorded traces can be saved/loaded as JSON-lines and converted into a
+:func:`record_run` keeps an :class:`~repro.metrics.collectors.OpRecord`
+for every client op of one run in the run-record stream (``report.ops``).
+:func:`save_ops` and :func:`load_ops` write and read them as JSON lines,
+and :func:`replay_workload` turns them into a
 :class:`~repro.workloads.patterns.TraceWorkload`, enabling the
 record-once / replay-against-many-balancers methodology the paper uses
 to compare strategies "on the same storage system".
@@ -13,125 +14,56 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
-from ..dataclass import dataclass
 from ..clients.ops import OpKind
+from .collectors import OpRecord
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..clients.ops import MetaReply
-    from ..cluster import SimulatedCluster
+    from ..cluster import SimReport, SimulatedCluster
     from ..workloads.patterns import TraceWorkload
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One completed client operation; ``latency`` runs from issue to the
-    reply's arrival at the client, as the report's latencies do."""
-
-    time: float
-    client_id: int
-    kind: str
-    path: str
-    latency: float
-    served_by: int
-    forwards: int
-    ok: bool
-    dst: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        return cls(**json.loads(line))
-
-
-class TraceRecorder:
-    """Collects :class:`TraceEvent` records (see :func:`record_run`)."""
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def record_reply(self, now: float, client_id: int,
-                     reply: "MetaReply") -> None:
-        """The trace sink: while :func:`record_run` records, clients build
-        a :class:`MetaReply` from each reply's values and call this."""
-        self.events.append(TraceEvent(
-            time=round(now, 6), client_id=client_id, kind=reply.kind.value,
-            path=reply.path, latency=round(reply.latency, 6),
-            served_by=reply.served_by, forwards=reply.forwards,
-            ok=reply.ok, dst=reply.dst,
-        ))
-
-    # -- persistence ------------------------------------------------------
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        with path.open("w") as handle:
-            for event in self.events:
-                handle.write(event.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TraceRecorder":
-        recorder = cls()
-        with Path(path).open() as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    recorder.events.append(TraceEvent.from_json(line))
-        return recorder
-
-    # -- analysis / replay --------------------------------------------------
-    def per_client(self) -> dict[int, list[TraceEvent]]:
-        out: dict[int, list[TraceEvent]] = {}
-        for event in self.events:
-            out.setdefault(event.client_id, []).append(event)
-        return out
-
-    def to_workload(self) -> "TraceWorkload":
-        """Convert into a replayable workload (ops in recorded order)."""
-        from ..workloads.patterns import TraceWorkload
-
-        per_client = self.per_client()
-        if not per_client:
-            raise ValueError("empty trace")
-        remapped = {
-            new_id: [
-                ((OpKind(e.kind), e.path, e.dst) if e.dst
-                 else (OpKind(e.kind), e.path))
-                for e in events
-            ]
-            for new_id, (_old, events) in enumerate(
-                sorted(per_client.items())
-            )
-        }
-        return TraceWorkload(remapped)
-
-    def summary(self) -> dict[str, float]:
-        if not self.events:
-            return {"events": 0}
-        latencies = [event.latency for event in self.events]
-        return {
-            "events": len(self.events),
-            "clients": len(self.per_client()),
-            "mean_latency": sum(latencies) / len(latencies),
-            "forwarded": sum(1 for e in self.events if e.forwards),
-            "errors": sum(1 for e in self.events if not e.ok),
-        }
-
-
 def record_run(cluster: "SimulatedCluster", workload,
-               **kwargs) -> tuple["TraceRecorder", object]:
-    """Run *workload* on *cluster* while recording every op.
+               **kwargs) -> "SimReport":
+    """Run *workload* on *cluster*, recording every op (``report.ops``).
 
-    The recorder is the cluster's trace sink for this run only; recording
-    changes nothing in the run.  Returns (recorder, SimReport).
+    Recording is on for this run only and changes nothing in it.
     """
-    recorder = TraceRecorder()
-    cluster.metrics.trace = recorder.record_reply
+    cluster.metrics.record_ops = True
     try:
-        report = cluster.run_workload(workload, **kwargs)
+        return cluster.run_workload(workload, **kwargs)
     finally:
-        cluster.metrics.trace = None
-    return recorder, report
+        cluster.metrics.record_ops = False
+
+
+def save_ops(ops: Iterable[OpRecord], path: str | Path) -> Path:
+    """Write *ops* to *path*, one JSON object per line."""
+    path = Path(path)
+    with path.open("w") as handle:
+        for op in ops:
+            handle.write(json.dumps(asdict(op), separators=(",", ":")) + "\n")
+    return path
+
+
+def load_ops(path: str | Path) -> list[OpRecord]:
+    """The op records :func:`save_ops` wrote to *path*."""
+    with Path(path).open() as handle:
+        return [OpRecord(**json.loads(line)) for line in handle
+                if line.strip()]
+
+
+def replay_workload(ops: Iterable[OpRecord]) -> "TraceWorkload":
+    """The recorded ops as a workload: each client's ops in recorded
+    order, clients renumbered from 0 in id order."""
+    from ..workloads.patterns import TraceWorkload
+
+    per_client: dict[int, list[tuple]] = {}
+    for op in ops:
+        per_client.setdefault(op.client_id, []).append(
+            (OpKind(op.op), op.path, op.dst) if op.dst
+            else (OpKind(op.op), op.path))
+    if not per_client:
+        raise ValueError("empty trace")
+    return TraceWorkload({new_id: per_client[old_id] for new_id, old_id
+                          in enumerate(sorted(per_client))})

@@ -1,6 +1,6 @@
-"""Op kinds and request/reply types."""
+"""Op kinds and the request type."""
 
-from repro.clients.ops import MetaReply, MetaRequest, OpKind
+from repro.clients.ops import MetaRequest, OpKind
 
 
 class TestOpKind:
@@ -45,20 +45,3 @@ class TestMetaRequest:
             0.5, "/a/c", "/a", "b")
         assert req.leaf_hash is None and req.route is None
         assert not req.done
-
-
-class TestMetaReply:
-    def test_ok_property(self):
-        ok = MetaReply(req_id=1, kind=OpKind.STAT, path="/a", served_by=0,
-                       forwards=0, latency=0.001)
-        bad = MetaReply(req_id=2, kind=OpKind.STAT, path="/a", served_by=0,
-                        forwards=0, latency=0.001, error="ENOENT")
-        assert ok.ok
-        assert not bad.ok
-
-    def test_of_request_measures_latency_to_arrival(self):
-        req = MetaRequest(OpKind.RENAME, "/a/b", 0, None, 1.0, "/a/c")
-        req.hops = 3
-        reply = MetaReply.of(req, 1.25, 2, None, 7, "/a", ((0, 0, 2),))
-        assert reply == MetaReply(req.req_id, OpKind.RENAME, "/a/b", 2, 2,
-                                  0.25, 7, None, "/a/c", "/a", ((0, 0, 2),))

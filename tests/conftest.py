@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Optional
+
 import pytest
 
-from repro.clients.ops import MetaReply, MetaRequest, parse_op_path
+from repro.clients.ops import MetaRequest, parse_op_path
 from repro.config import ClusterConfig
 
 
@@ -50,12 +53,30 @@ def parsed_request(kind, path) -> MetaRequest:
                        dir_path=dir_path, leaf=leaf)
 
 
+@dataclass
+class Reply:
+    """The arguments of one ``receive_reply`` call, and the request's
+    forward count and latency (issue to arrival) when it arrived."""
+
+    served_by: int
+    error: Optional[str]
+    result: Any
+    dir_path: Optional[str]
+    frag_map: Optional[tuple]
+    forwards: int
+    latency: float
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
 class ReplyCatcher:
     """A stand-in client for tests that drive MDS ranks directly.
 
     The MDS replies through ``req.client.receive_reply``, as to a real
     client; this one marks the request done and succeeds :attr:`replied`
-    with the :class:`MetaReply` built from the reply values.
+    with a :class:`Reply` of the reply values.
     """
 
     def __init__(self, engine) -> None:
@@ -67,13 +88,14 @@ class ReplyCatcher:
         if req.done:
             raise RuntimeError("op already completed")
         req.done = True
-        self.replied.succeed(MetaReply.of(req, self.engine.now, served_by,
-                                          error, result, dir_path, frag_map))
+        self.replied.succeed(Reply(served_by, error, result, dir_path,
+                                   frag_map, req.forwards,
+                                   self.engine.now - req.issued_at))
 
 
 def awaited_request(cluster, kind, path, client_id=0, dst=None):
     """``(req, replied)``: an unparsed request issued now, whose reply
-    succeeds the completion *replied* with a :class:`MetaReply`."""
+    succeeds the completion *replied* with a :class:`Reply`."""
     catcher = ReplyCatcher(cluster.engine)
     req = MetaRequest(kind, path, client_id, catcher, cluster.engine.now, dst)
     return req, catcher.replied

@@ -37,12 +37,12 @@ class TestHalfOpenBreaker:
                          "breaker-permanent"]
         # Exactly one probation re-try, flagged as such -- and it is not
         # a fallback tick (the injected policy was back in charge).
-        probation = [d for d in balancer.decisions if d.probation]
+        probation = [d for d in cluster.metrics.decisions if d.probation]
         assert len(probation) == 1
         assert not probation[0].fallback
         assert probation[0].error is not None
         # After the permanent trip the fallback stays in charge for good.
-        tail = balancer.decisions[-1]
+        tail = cluster.metrics.decisions[-1]
         assert tail.fallback and not tail.probation and tail.error is None
 
     def test_transient_failure_closes_the_breaker(self):
@@ -64,7 +64,7 @@ class TestHalfOpenBreaker:
                  if e.kind.startswith("breaker-")]
         assert kinds == ["breaker-open", "breaker-probation",
                          "breaker-close"]
-        assert balancer.decisions[-1].error is None
+        assert cluster.metrics.decisions[-1].error is None
 
     def test_zero_probation_ticks_keeps_the_seed_forever_trip(self):
         cluster = SimulatedCluster(
@@ -78,9 +78,12 @@ class TestHalfOpenBreaker:
         assert "breaker-permanent" not in kinds
 
     def test_direct_construction_defaults_to_no_probation(self):
-        balancer = MantleBalancer(broken_policy())
+        records = []
+        balancer = MantleBalancer(broken_policy(),
+                                  events=lambda *r: records.append(r))
         assert balancer.probation_ticks == 0
         assert balancer.breaker == "closed"
+        assert records == []
 
     def test_report_still_flags_tripped_policy(self):
         cluster = build_cluster()
@@ -108,5 +111,5 @@ class TestMathDomainErrorsReachTheBreaker:
         cluster.run_for(20.0)
         balancer = cluster.balancer
         assert balancer.breaker == "permanent"
-        errors = [d.error for d in balancer.decisions if d.error]
+        errors = [d.error for d in cluster.metrics.decisions if d.error]
         assert errors and all("load is nan" in error for error in errors)

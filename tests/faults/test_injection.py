@@ -118,7 +118,7 @@ class TestHeartbeatFaults:
         cluster = SimulatedCluster(config, policy=original_policy(),
                                    fault_schedule=schedule)
         cluster.run_for(12.0)
-        recent = [d for d in cluster.balancer.decisions if d.rank == 0][-1]
+        recent = [d for d in cluster.metrics.decisions if d.rank == 0][-1]
         assert recent.skipped == "no live peers"
 
     def test_lossy_link_with_delay_keeps_cluster_alive(self):
@@ -169,7 +169,7 @@ class TestCircuitBreaker:
         assert cluster.balancer.errors >= 3
         assert cluster.balancer.active_policy().name == "cephfs-original"
         # The fallback balancer keeps making (non-erroring) decisions.
-        fallback = [d for d in cluster.balancer.decisions if d.fallback]
+        fallback = [d for d in cluster.metrics.decisions if d.fallback]
         assert fallback
         assert all(d.error is None for d in fallback)
 

@@ -19,7 +19,7 @@ The digest hashes the summary line, every latency at full precision
 (``float.hex``), the per-rank op counts and the balancer decision list;
 the ``lifecycle/faults`` digest also hashes the fault and lifecycle events,
 the shadow log and the shadow summary; the ``ops/every-kind`` digest also
-hashes each reply's kind, serving rank, forwards, result and error.
+hashes each op record's kind, serving rank, forwards, result and error.
 Any change to simulated results -- event order, float arithmetic, RNG
 draws -- changes it.
 
@@ -39,7 +39,7 @@ from repro.clients.ops import OpKind
 from repro.config import ClusterConfig
 from repro.core.policies import STOCK_POLICIES
 from repro.faults import FaultSchedule
-from repro.metrics.tracing import record_run
+from repro.metrics.tracing import load_ops, record_run, save_ops
 from repro.workloads import CompileWorkload, CreateWorkload, ZipfWorkload
 from repro.workloads.patterns import TraceWorkload
 
@@ -134,8 +134,9 @@ def report_digest(report) -> str:
     return digest.hexdigest()
 
 
-def lifecycle_report():
-    """The ``lifecycle/faults`` run: every run-record producer fires."""
+def lifecycle_report(record_ops: bool = False):
+    """The ``lifecycle/faults`` run: every run-record producer fires (op
+    records too, with *record_ops*)."""
     config = ClusterConfig(num_mds=3, num_clients=4, seed=11,
                            dir_split_size=600, heartbeat_interval=HEARTBEAT,
                            stability_guard=True)
@@ -150,6 +151,7 @@ def lifecycle_report():
                                fault_schedule=schedule)
     cluster.arm_shadow(STOCK_POLICIES["fill-and-spill"]())
     cluster.arm_canary(STOCK_POLICIES["adaptable"](), at=0.5, window=1.0)
+    cluster.metrics.record_ops = record_ops
     cluster.run_workload(CreateWorkload(num_clients=4, files_per_client=3000,
                                         shared_dir=True))
     cluster.quiesce()
@@ -213,7 +215,7 @@ def every_kind_traces(rounds: int = 300) -> dict[int, list[tuple]]:
 
 
 def every_kind_run():
-    """The ``ops/every-kind`` run: ``(cluster, report, replies)``.
+    """The ``ops/every-kind`` run, recorded: ``(cluster, report)``.
 
     ``/shared`` starts split in four and spread over ranks 0 and 2, so
     its writes pay the coherency surcharge and scatter-gather; greedy-spill
@@ -229,17 +231,16 @@ def every_kind_run():
     cluster.pin("/d1", 2)
     cluster.namespace.resolve_dir("/shared").fragment(extra_bits=2)
     cluster.spread_dirfrags("/shared", [0, 2])
-    replies = []
-    cluster.metrics.trace = lambda _now, _client, reply: replies.append(reply)
+    cluster.metrics.record_ops = True
     cluster.begin_workload(workload, skip_prepare=True)
-    return cluster, cluster.finish_workload(), replies
+    return cluster, cluster.finish_workload()
 
 
-def every_kind_digest(report, replies) -> str:
+def every_kind_digest(report) -> str:
     digest = hashlib.sha256(report_digest(report).encode())
-    for reply in replies:
-        digest.update(repr((reply.kind.value, reply.served_by, reply.forwards,
-                            reply.result, reply.error)).encode())
+    for op in report.ops:
+        digest.update(repr((op.op, op.rank, op.forwards, op.result,
+                            op.error)).encode())
     return digest.hexdigest()
 
 
@@ -247,8 +248,8 @@ def run_digest(name: str) -> str:
     if name == LIFECYCLE:
         return lifecycle_digest(lifecycle_report())
     if name == EVERY_KIND:
-        _cluster, report, replies = every_kind_run()
-        return every_kind_digest(report, replies)
+        _cluster, report = every_kind_run()
+        return every_kind_digest(report)
     config, workload, policy = scenario(name)
     cluster = SimulatedCluster(config)
     if policy != "none":
@@ -284,13 +285,35 @@ def test_lifecycle_run_fills_every_view_from_one_stream():
     assert ticks == sorted(ticks)
 
 
+def test_recording_the_lifecycle_run_only_adds_op_records(tmp_path):
+    plain, recorded = lifecycle_report(), lifecycle_report(record_ops=True)
+    assert plain.ops == []
+    for view in ("decisions", "fault_events", "lifecycle_events",
+                 "shadow_log"):
+        assert getattr(recorded, view) == getattr(plain, view), view
+    assert len(recorded.records) == len(plain.records) + len(recorded.ops)
+    # One record per completed op: each client's latencies, in order.
+    latencies = recorded.metrics.latencies
+    clients = sorted(recorded.metrics.client_op_counts)
+    assert sorted({op.client_id for op in recorded.ops}) == clients
+    for client_id in clients:
+        assert [op.latency for op in recorded.ops
+                if op.client_id == client_id] \
+            == latencies.client_latencies(client_id).tolist()
+    assert len(recorded.ops) == sum(
+        recorded.metrics.client_op_counts.values())
+    path = save_ops(recorded.ops, tmp_path / "lifecycle.jsonl")
+    assert load_ops(path) == recorded.ops
+
+
 def test_every_kind_run_covers_each_op_and_error():
-    cluster, report, replies = every_kind_run()
-    outcomes = {(reply.kind, reply.error) for reply in replies}
-    assert {(kind, None) for kind in OpKind} <= outcomes
-    assert {(OpKind.STAT, "ENOENT"), (OpKind.MKDIR, "EEXIST"),
-            (OpKind.RENAME, "EINVAL")} <= outcomes
-    assert len(replies) == sum(len(ops) for ops in every_kind_traces().values())
+    cluster, report = every_kind_run()
+    outcomes = {(op.op, op.error) for op in report.ops}
+    assert {(kind.value, None) for kind in OpKind} <= outcomes
+    assert {("stat", "ENOENT"), ("mkdir", "EEXIST"),
+            ("rename", "EINVAL")} <= outcomes
+    assert len(report.ops) == sum(
+        len(ops) for ops in every_kind_traces().values())
     # Cross-rank renames flush sessions; the spread directory
     # scatter-gathers; rank 0 spills to rank 1 and forwards follow.
     assert report.total_session_flushes > 0
@@ -303,8 +326,8 @@ def test_every_kind_run_covers_each_op_and_error():
 def test_recording_a_run_changes_nothing():
     config, workload, policy = scenario("create_shared")
     cluster = SimulatedCluster(config, policy=STOCK_POLICIES[policy]())
-    recorder, report = record_run(cluster, workload)
-    assert len(recorder.events) == report.total_ops
+    report = record_run(cluster, workload)
+    assert len(report.ops) == report.total_ops
     assert report_digest(report) == GOLDEN["create_shared"]
 
 

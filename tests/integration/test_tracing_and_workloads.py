@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import SimulatedCluster, run_experiment
 from repro.clients.ops import OpKind
 from repro.core.policies import STOCK_POLICIES
-from repro.metrics.tracing import TraceRecorder, record_run
+from repro.metrics.tracing import (load_ops, record_run, replay_workload,
+                                   save_ops)
 from repro.workloads import CheckpointWorkload, CreateWorkload
 from tests.conftest import make_config
 from tests.integration.test_golden_digests import (GOLDEN, report_digest,
@@ -16,95 +17,92 @@ class TestTraceRecording:
     def run_recorded(self, files=200):
         cluster = SimulatedCluster(make_config(num_mds=1))
         workload = CreateWorkload(num_clients=2, files_per_client=files)
-        recorder, report = record_run(cluster, workload)
-        return recorder, report
+        return record_run(cluster, workload)
 
     def test_records_every_op(self):
-        recorder, report = self.run_recorded()
-        assert len(recorder.events) == report.total_ops
-        summary = recorder.summary()
-        assert summary["clients"] == 2
-        assert summary["errors"] == 0
-        assert summary["mean_latency"] > 0
+        report = self.run_recorded()
+        ops = report.ops
+        assert len(ops) == report.total_ops
+        assert {op.client_id for op in ops} == {0, 1}
+        assert all(op.error is None for op in ops)
+        assert sum(op.latency for op in ops) / len(ops) > 0
 
     def test_latency_is_the_one_the_client_observed(self):
-        """The trace stops the clock where the report does: when the reply
-        reaches the client, not when the MDS applies the op."""
+        """The record stops the clock where the report does: when the
+        reply reaches the client, not when the MDS applies the op."""
         cluster = SimulatedCluster(make_config(num_mds=2))
         workload = CreateWorkload(num_clients=2, files_per_client=500)
-        recorder, report = record_run(cluster, workload)
+        report = record_run(cluster, workload)
         latencies = report.metrics.latencies
-        assert recorder.summary()["mean_latency"] == pytest.approx(
+        ops = report.ops
+        assert sum(op.latency for op in ops) / len(ops) == pytest.approx(
             latencies.mean(), abs=1e-6)
-        for client_id, events in recorder.per_client().items():
-            assert [event.latency for event in events] == [
-                round(latency, 6)
-                for latency in latencies.client_latencies(client_id)]
+        for client_id in (0, 1):
+            assert [op.latency for op in ops if op.client_id == client_id] \
+                == latencies.client_latencies(client_id).tolist()
 
     def test_events_are_time_ordered_per_client(self):
-        recorder, _report = self.run_recorded()
-        for events in recorder.per_client().values():
-            times = [event.time for event in events]
+        ops = self.run_recorded().ops
+        for client_id in (0, 1):
+            times = [op.time for op in ops if op.client_id == client_id]
             assert times == sorted(times)
 
     def test_save_and_load_roundtrip(self, tmp_path):
-        recorder, _report = self.run_recorded(files=50)
-        path = recorder.save(tmp_path / "run.jsonl")
-        loaded = TraceRecorder.load(path)
-        assert loaded.events == recorder.events
+        ops = self.run_recorded(files=50).ops
+        path = save_ops(ops, tmp_path / "run.jsonl")
+        assert load_ops(path) == ops
 
     def test_replay_against_another_balancer(self):
         """The paper's methodology: same ops, different strategy."""
-        recorder, original = self.run_recorded(files=300)
-        replay_workload = recorder.to_workload()
+        original = self.run_recorded(files=300)
 
         from repro.core.policies import greedy_spill_policy
         replay = run_experiment(
             make_config(num_mds=2, seed=99),
-            replay_workload,
+            replay_workload(original.ops),
             policy=greedy_spill_policy(),
         )
         assert replay.total_ops == original.total_ops
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            TraceRecorder().to_workload()
+            replay_workload([])
 
     def test_plain_run_after_recording_records_nothing(self):
         """Recording is per cluster and per run: a plain run afterwards
-        has no trace sink and matches its golden digest."""
-        recorder, recorded_report = self.run_recorded(files=20)
-        assert recorded_report.metrics.trace is None
-        recorded = len(recorder.events)
+        records no ops and matches its golden digest."""
+        recorded_report = self.run_recorded(files=20)
+        assert not recorded_report.metrics.record_ops
+        recorded = len(recorded_report.ops)
         config, workload, policy = scenario("create_shared")
         cluster = SimulatedCluster(config,
                                    policy=STOCK_POLICIES[policy]())
         report = cluster.run_workload(workload)
-        assert cluster.metrics.trace is None
-        assert len(recorder.events) == recorded
+        assert not cluster.metrics.record_ops
+        assert report.ops == []
+        assert len(recorded_report.ops) == recorded
         assert report_digest(report) == GOLDEN["create_shared"]
 
     @pytest.mark.parametrize("think_time", [0.0, 0.001])
     def test_one_reply_recorded_per_completed_op(self, think_time):
-        """The tap sees every reply exactly once, whether the next op is
+        """Each reply is recorded exactly once, whether the next op is
         issued from the reply itself or after a think-time event."""
         cluster = SimulatedCluster(make_config(
             num_mds=2, client_pipeline=2, client_think_time=think_time))
         workload = CreateWorkload(num_clients=3, files_per_client=150)
-        recorder, report = record_run(cluster, workload)
+        report = record_run(cluster, workload)
         assert sum(client.ops_completed
                    for client in cluster.clients) == workload.total_ops()
-        per_client = recorder.per_client()
         for client in cluster.clients:
-            events = per_client[client.client_id]
-            assert len(events) == client.ops_completed
-            assert sorted(event.path for event in events) == sorted(
+            ops = [op for op in report.ops
+                   if op.client_id == client.client_id]
+            assert len(ops) == client.ops_completed
+            assert sorted(op.path for op in ops) == sorted(
                 path for _kind, path in workload.client_ops(client.client_id))
         if think_time > 0:
-            # A worker retires only after its last op's think time (trace
-            # times are rounded to the microsecond).
-            last = max(event.time for event in recorder.events)
-            assert report.makespan >= last + think_time - 1e-6
+            # A worker retires only after its last op's think time.
+            last = max(op.time for op in report.ops)
+            assert report.makespan >= last + think_time
 
 
 class TestCheckpointWorkload:

@@ -43,6 +43,7 @@ REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 SERVER_FILE = os.path.join(REPRO_DIR, "mds", "server.py")
 CLIENT_FILE = os.path.join(REPRO_DIR, "clients", "client.py")
 OPS_FILE = os.path.join(REPRO_DIR, "clients", "ops.py")
+COLLECTORS_FILE = os.path.join(REPRO_DIR, "metrics", "collectors.py")
 SIM_DIR = os.path.join(REPRO_DIR, "sim") + os.sep
 #: Python 3.12 inlines these (PEP 709), so they are frames only before it.
 INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
@@ -211,14 +212,15 @@ def test_calls_per_op_stay_under_ceiling(name):
 @pytest.mark.parametrize("name", sorted(CALLS_PER_OP_CEILING))
 def test_each_op_builds_only_its_request(name):
     """One MetaRequest per op is the whole client/MDS op path: the reply's
-    values travel as call arguments, so an unrecorded, error-free run
-    builds no MetaReply (its ``__init__`` also counts as ``ops.py``'s)
-    and no pending-op object: ``Client.__init__`` is the only constructor
-    that runs in ``client.py``."""
+    values travel as call arguments, so an error-free run builds no reply
+    object and no pending-op object (``Client.__init__`` is the only
+    constructor that runs in ``client.py``), and an unrecorded one builds
+    no ``OpRecord``: no constructor runs in ``collectors.py``, whose
+    dataclass ``__init__``s count as its own."""
     calls, ops, _events, errors = scenario_calls(name)
     assert errors == 0
     assert calls[(OPS_FILE, "__init__")] == ops
-    assert (OPS_FILE, "of") not in calls
+    assert (COLLECTORS_FILE, "__init__") not in calls
     assert calls[(CLIENT_FILE, "__init__")] == scenario(name)[0].num_clients
 
 

@@ -65,7 +65,7 @@ class TestRollback:
         cluster, controller = run_canary(bad_metaload_policy())
         assert controller.phase == "rolled-back"
         assert any("lua errors" in reason for reason in controller.violations)
-        errors = [d.error for d in controller.balancer.decisions if d.error]
+        errors = [d.error for d in cluster.metrics.decisions if d.error]
         assert errors
         assert all(error == "metaload: metaload formula produced 'hot', "
                    "expected a number" for error in errors)

@@ -67,7 +67,7 @@ class TestDeadRankDetection:
         cluster.run_for(5.0)
         cluster.mdss[1].crash()
         cluster.engine.run_until(cluster.engine.now + 10.0)
-        recent = [d for d in cluster.balancer.decisions
+        recent = [d for d in cluster.metrics.decisions
                   if d.rank == 0][-1]
         assert recent.skipped == "no live peers"
 

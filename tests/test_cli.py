@@ -156,3 +156,27 @@ class TestSweep:
         assert proc.stderr == b""
         assert proc.stdout.count(b"policy=greedy-spill") == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSizeArguments:
+    """Cluster and workload sizes below one are usage errors, not
+    tracebacks from inside the run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--clients", "1", "--files", "0"],
+        ["run", "--clients", "0"],
+        ["run", "--mds", "0"],
+        ["inspect", "--clients", "0"],
+        ["inspect", "--mds", "0"],
+        ["sweep", "--seeds", "1", "--clients", "0"],
+        ["sweep", "--seeds", "1", "--mds", "0"],
+        ["sweep", "--seeds", "1", "--files", "0"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-2:]).replace("--", ""))
+    def test_size_below_one_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[-2]}: expected an integer >= 1" in captured.err
+        assert "Traceback" not in captured.err
