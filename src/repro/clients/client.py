@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..metrics.collectors import ClusterMetrics, OpRecord
+from ..namespace.directory import FragRoute
 from ..namespace.dirfrag import name_hash
 from ..namespace.tree import split_path
 from ..sim.engine import SimEngine
@@ -54,11 +55,11 @@ class Client:
         self.cap_switch_time = cap_switch_time
         self._last_rank: int | None = None
         self.cap_switches = 0
-        #: directory path -> fragtree, ((bits, value, rank), ...).  Real
+        #: directory path -> fragtree (a :class:`FragRoute`).  Real
         #: CephFS replies carry the fragtree so clients route directly to
         #: the rank holding the right dirfrag; this goes stale after a
         #: migration until the next reply refreshes it.
-        self.frag_maps: dict[str, tuple[tuple[int, int, int], ...]] = {}
+        self.frag_maps: dict[str, FragRoute] = {}
         self.ops_completed = 0
         self.errors = 0
         self.started_at: float | None = None
@@ -121,19 +122,22 @@ class Client:
                           dir_path, leaf)
         rank = None
         if kind is not OpKind.READDIR:
-            frag_map = self.frag_maps.get(dir_path)
-            if frag_map:
-                hashed = None
-                for bits, value, frag_rank in frag_map:
-                    if not bits:
-                        rank = frag_rank  # the unsplit frag holds every name
-                        break
-                    if hashed is None:
-                        # The root has no leaf and hashes as "".
-                        hashed = req.leaf_hash = name_hash(leaf or "")
-                    if (hashed & ((1 << bits) - 1)) == value:
-                        rank = frag_rank
-                        break
+            route = self.frag_maps.get(dir_path)
+            if route is not None:
+                mask = route.mask
+                if not mask:
+                    rank = route.ranks[0]  # the unsplit frag holds every name
+                else:
+                    # The root has no leaf and hashes as "".
+                    hashed = req.leaf_hash = name_hash(leaf or "")
+                    ranks = route.ranks
+                    if ranks is not None:
+                        rank = ranks[hashed & mask]
+                    else:  # mixed depths: scan
+                        for bits, value, frag_rank in route.frags:
+                            if (hashed & ((1 << bits) - 1)) == value:
+                                rank = frag_rank
+                                break
         if rank is None:
             rank = self._guess(req)
         # Staying on the same rank changes nothing and costs nothing.
@@ -148,7 +152,7 @@ class Client:
 
     def receive_reply(self, req: MetaRequest, served_by: int,
                       error: str | None, result, dir_path: str | None,
-                      frag_map: tuple | None) -> None:
+                      frag_map: FragRoute | None) -> None:
         """The reply to *req* arrived: account it, append its op record if
         the run is recorded, learn the route (and the fragtree, on a
         success) from it, and move the worker on to its next op."""
@@ -185,8 +189,8 @@ class Client:
         if (self.cap_switch_time <= 0 or previous is None
                 or previous == rank):
             return 0.0
-        frag_map = self.frag_maps.get(req.dir_path)
-        if frag_map and len({r for _b, _v, r in frag_map}) > 1:
+        route = self.frag_maps.get(req.dir_path)
+        if route is not None and route.shared:
             return 0.0  # shared directory: caps already degraded
         self.cap_switches += 1
         return self.cap_switch_time

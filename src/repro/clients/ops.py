@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Any, Optional
 
@@ -57,16 +56,13 @@ def parse_op_path(kind: OpKind, path: str) -> tuple[str, Optional[str]]:
     return dir_and_leaf(path)
 
 
-_REQ_IDS = itertools.count(1)
-
-
 class MetaRequest:
     """One client metadata op, the only per-op object between a client
     and the MDS ranks: stations queue it, forwards carry it, and the reply
     goes to ``client.receive_reply``, which sets ``done``."""
 
     __slots__ = ("kind", "path", "client_id", "client", "issued_at", "dst",
-                 "dir_path", "leaf", "leaf_hash", "req_id", "hops", "done",
+                 "dir_path", "leaf", "leaf_hash", "hops", "done",
                  "route", "tree_epoch", "auth_epoch")
 
     def __init__(self, kind: OpKind, path: str, client_id: int,
@@ -89,7 +85,6 @@ class MetaRequest:
         self.dir_path = dir_path
         self.leaf = leaf
         self.leaf_hash: Optional[int] = None
-        self.req_id = next(_REQ_IDS)
         #: Ranks that handled this request so far (forwards + 1).
         self.hops = 0
         #: True once the reply reached the client.

@@ -249,7 +249,7 @@ class SimulatedCluster:
             for rank in range(config.num_mds)
         ]
         for mds in self.mdss:
-            mds.peers = self.mdss
+            mds.join(self.mdss)
         # Policy lifecycle: versioned store (RADOS-mirrored), optional
         # online stability guard, shadow/canary slots.
         self.policy_store = PolicyStore(self.rados)

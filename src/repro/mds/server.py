@@ -66,7 +66,9 @@ class MdsServer:
         self.sessions = SessionTable(rank)
         self.migrator = Migrator(self)
         self.hb_table = HeartbeatTable()
-        self.peers: list["MdsServer"] = []  # set by the cluster assembly
+        self.peers: list["MdsServer"] = []  # set by join()
+        #: ``(rank, cache entries)`` of every other rank, for invalidation.
+        self._peer_caches: list[tuple[int, dict]] = []
         self.balancer: Optional["MantleBalancer"] = None
         #: Policy-lifecycle hook (e.g. a CanaryController) driven from this
         #: rank's heartbeat ticks; may swap ``self.balancer``.
@@ -101,6 +103,13 @@ class MdsServer:
         self.fault_state: Optional["FaultState"] = None
         self.crashed_at: Optional[float] = None
         self.recovered_at: Optional[float] = None
+
+    def join(self, peers: list["MdsServer"]) -> None:
+        """Wire this rank to the cluster's ranks, once, at assembly (no
+        rank or cache object is replaced after it)."""
+        self.peers = peers
+        self._peer_caches = [(peer.rank, peer.cache._entries)
+                             for peer in peers if peer is not self]
 
     # ------------------------------------------------------------------
     # Request path
@@ -382,10 +391,11 @@ class MdsServer:
                 self._invalidate_replicas(parent)
         if not req.done:
             # The reply's values are the arguments of the client's one
-            # reply call; a success carries the directory's fragtree.
+            # reply call; a success carries the directory's fragtree
+            # (this authority epoch's route record).
             self.network.deliver(req.client.receive_reply, req, self.rank,
                                  None, result, parent.path(),
-                                 parent.frag_map())
+                                 parent.frag_route())
 
     # -- op handlers: apply one op family, return the reply's result ------
     def _create(self, req: MetaRequest, parent: Directory,
@@ -511,14 +521,14 @@ class MdsServer:
             # coherency protocol and keep their replica fresh (they pay
             # through the scatter-gather path instead); only passive
             # cachers go stale.
-            for peer in self.peers:
-                if peer.rank == self.rank:
-                    continue
-                if now - node.server_activity.get(peer.rank,
-                                                  -float("inf")) < window:
+            activity = node.server_activity
+            ino = node.inode.ino
+            for rank, entries in self._peer_caches:
+                last = activity.get(rank)
+                if last is not None and now - last < window:
                     continue
                 # InodeCache.drop inlined: one per passive peer per level.
-                peer.cache._entries.pop(node.inode.ino, None)
+                entries.pop(ino, None)
             node = node.parent
 
     def _reply(self, req: MetaRequest, error: str) -> None:

@@ -65,7 +65,7 @@ def render_timelines(report: "SimReport", width: int = 60,
 def render_table(headers: Sequence[str],
                  rows: Sequence[Sequence[object]]) -> str:
     """A fixed-width aligned table."""
-    cells = [[str(value) for value in row] for row in rows]
+    cells = [list(map(str, row)) for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
         for index, cell in enumerate(row):

@@ -15,6 +15,28 @@ DEFAULT_SPLIT_SIZE = 50_000
 DEFAULT_SPLIT_BITS = 3
 
 
+class FragRoute:
+    """A directory's fragtree as of one authority epoch, for routing.
+
+    ``frags`` is ``((bits, value, authority), ...)`` over the frags in
+    insertion order.  ``mask`` is ``2**bits - 1`` of the deepest frag, so
+    0 only for an unsplit directory.  When every frag has the same depth,
+    ``ranks`` maps ``name_hash & mask`` to the authority; mixed depths
+    leave it None (scan ``frags``).  ``shared``: the frags sit on more
+    than one rank.
+    """
+
+    __slots__ = ("frags", "mask", "ranks", "shared")
+
+    def __init__(self, frags: tuple[tuple[int, int, int], ...]) -> None:
+        self.frags = frags
+        depths, values, ranks = zip(*frags)
+        self.mask = (1 << max(depths)) - 1
+        self.ranks = (dict(zip(values, ranks))
+                      if min(depths) == max(depths) else None)
+        self.shared = len(set(ranks)) > 1
+
+
 class Directory:
     """A directory: entries partitioned into dirfrags.
 
@@ -50,7 +72,7 @@ class Directory:
         # cache is invalidated explicitly on rename.
         self._path_cache: Optional[str] = None
         self._auth_cache: Optional[tuple[int, int]] = None
-        self._frag_map_cache = None
+        self._route_cache = None
         self._spread_cache: Optional[tuple[int, float]] = None
         self._frag_lookup_cache = None
 
@@ -126,19 +148,19 @@ class Directory:
             frag.set_auth(None)
 
     # -- dirfrags ------------------------------------------------------
-    def frag_map(self) -> tuple[tuple[int, int, int], ...]:
-        """``((bits, value, authority), ...)`` over this directory's frags
-        in insertion order -- what replies carry back to clients."""
+    def frag_route(self) -> FragRoute:
+        """This authority epoch's fragtree as a route record -- what
+        replies carry back to clients."""
         epoch = _AUTH_EPOCH[0]
-        cached = self._frag_map_cache
+        cached = self._route_cache
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        frag_map = tuple(
+        route = FragRoute(tuple([
             (frag.frag_id.bits, frag.frag_id.value, frag.authority())
             for frag in self.frags.values()
-        )
-        self._frag_map_cache = (epoch, frag_map)
-        return frag_map
+        ]))
+        self._route_cache = (epoch, route)
+        return route
 
     def effective_spread(self) -> float:
         """Effective number of ranks sharing this directory's dirfrags.

@@ -19,6 +19,7 @@ time it fires checks its own state instead.
 from __future__ import annotations
 
 import itertools
+import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
@@ -313,19 +314,27 @@ class SimEngine:
 
     def run_until_complete(self, completion: Completion,
                            max_events: int | None = None) -> Any:
-        """Run until *completion* fires; returns its value."""
+        """Run until *completion* fires; returns its value.
+
+        The loop counts events in a local, so :attr:`events_executed`
+        reads the count as of the loop's start until it returns or raises.
+        """
         heap = self._heap
-        count = 0
-        while not completion._done:
-            if not heap:
-                raise RuntimeError("event heap drained before completion fired")
-            when, _seq, fn, args = heappop(heap)
-            self.now = when
-            self._executed += 1
-            fn(*args)
-            count += 1
-            if max_events is not None and count >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; likely livelock"
-                )
+        executed = self._executed
+        limit = executed + (max_events if max_events is not None
+                            else sys.maxsize)
+        try:
+            while not completion._done:
+                if not heap:
+                    raise RuntimeError(
+                        "event heap drained before completion fired")
+                when, _seq, fn, args = heappop(heap)
+                self.now = when
+                executed += 1
+                fn(*args)
+                if executed >= limit:
+                    raise RuntimeError(f"simulation exceeded {max_events} "
+                                       "events; likely livelock")
+        finally:
+            self._executed = executed
         return completion.value

@@ -8,6 +8,7 @@ MDS state").
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappush
 from typing import Any, Callable
 
@@ -30,57 +31,34 @@ class Network:
         self.base_latency = float(base_latency)
         self.jitter_cv = float(jitter_cv)
         self.messages_sent = 0
-        # Vectorized jitter: the "network" RNG stream is consumed only by
-        # this class and only with these (mu, sigma), and numpy's Generator
-        # yields the same draw sequence for one size=N call as for N scalar
-        # calls -- so refilling a batch preserves the exact delay sequence.
-        # The buffer always holds _JITTER_BATCH draws; it starts used up.
-        self._jitter_buf: list[float] = []
-        self._jitter_idx = _JITTER_BATCH
-        # The lognormal parameters only depend on the configuration; one
-        # log/sqrt at construction instead of two logs + a sqrt per message.
+        # Every one-way delay comes from this one iterator.  The "network"
+        # RNG stream is consumed only here, and numpy's Generator yields the
+        # same draws for one size=N call as for N scalar calls -- so
+        # drawing lazily, a batch at a time, keeps the exact delay sequence.
+        # The lognormal parameters only depend on the configuration.
         if self.jitter_cv > 0:
             sigma2 = np.log(1.0 + self.jitter_cv ** 2)
-            self._mu = np.log(self.base_latency) - sigma2 / 2.0
-            self._sigma = np.sqrt(sigma2)
+            mu = np.log(self.base_latency) - sigma2 / 2.0
+            sigma = np.sqrt(sigma2)
+            self._delays = itertools.chain.from_iterable(
+                rng.lognormal(mu, sigma, size=_JITTER_BATCH).tolist()
+                for _batch in itertools.repeat(None))
         else:
-            self._mu = self._sigma = 0.0
-
-    def _refill_jitter(self) -> float:
-        buf = self.rng.lognormal(self._mu, self._sigma,
-                                 size=_JITTER_BATCH).tolist()
-        self._jitter_buf = buf
-        self._jitter_idx = 1
-        return buf[0]
+            self._delays = itertools.repeat(self.base_latency)
 
     def one_way(self) -> float:
         """Sample one one-way latency."""
         self.messages_sent += 1
-        if self.jitter_cv <= 0:
-            return self.base_latency
-        idx = self._jitter_idx
-        if idx < _JITTER_BATCH:
-            self._jitter_idx = idx + 1
-            return self._jitter_buf[idx]
-        return self._refill_jitter()
+        return next(self._delays)
 
     def deliver(self, handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one network hop."""
         # one_way() and engine.schedule() inlined: deliver runs two to four
         # times per metadata op, and a delay from here is never negative.
         self.messages_sent += 1
-        if self.jitter_cv <= 0:
-            delay = self.base_latency
-        else:
-            idx = self._jitter_idx
-            if idx < _JITTER_BATCH:
-                self._jitter_idx = idx + 1
-                delay = self._jitter_buf[idx]
-            else:
-                delay = self._refill_jitter()
         engine = self.engine
-        heappush(engine._heap,
-                 (engine.now + delay, next(engine._seq), handler, args))
+        heappush(engine._heap, (engine.now + next(self._delays),
+                                next(engine._seq), handler, args))
 
     def deliver_after(self, extra_delay: float,
                       handler: Callable[..., None], *args: Any) -> None:

@@ -53,7 +53,6 @@ class FifoStation:
         self.busy_time = 0.0
         self.jobs_done = 0
         self.total_wait = 0.0
-        self.total_service = 0.0
         self._last_window_mark = 0.0
         self._window_busy = 0.0
 
@@ -153,11 +152,9 @@ class FifoStation:
             head = jobs[0]
             self.total_wait += head[3] - head[2]
         now = self.engine.now
-        span = now - started
-        self.busy_time += span
+        self.busy_time += now - started
         mark = self._last_window_mark
         self._window_busy += now - (started if started >= mark else mark)
-        self.total_service += span
         self.jobs_done += 1
         result: Any = None
         if self.executor is not None:

@@ -126,8 +126,10 @@ class CompileWorkload(Workload):
         weights = np.asarray([w for _p, w in source_files], dtype=float)
         weights /= weights.sum()
         header_dirs = [rel for rel, _f, w in dirs if rel.startswith("include")]
-        stat_paths = [[f"{root}/{hdir}/src{pick:03d}.c" for pick in range(4)]
-                      for hdir in header_dirs]
+        stat_paths = []
+        for hdir in header_dirs:
+            stat_paths.append([f"{root}/{hdir}/src{pick:03d}.c"
+                               for pick in range(4)])
         n_units = int(len(source_files) * self.compile_passes)
         order = rng.choice(len(source_files), size=n_units, p=weights)
         for start in range(0, n_units, UNIT_CHUNK):

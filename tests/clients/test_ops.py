@@ -21,11 +21,6 @@ class TestOpKind:
 
 
 class TestMetaRequest:
-    def test_unique_request_ids(self):
-        a = MetaRequest(kind=OpKind.STAT, path="/a", client_id=0)
-        b = MetaRequest(kind=OpKind.STAT, path="/a", client_id=0)
-        assert a.req_id != b.req_id
-
     def test_forwards_counts_extra_hops(self):
         req = MetaRequest(kind=OpKind.STAT, path="/a", client_id=0)
         assert req.hops == 0

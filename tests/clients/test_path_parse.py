@@ -100,22 +100,30 @@ def test_carried_leaf_hash_routes_like_the_name(leaf, carried):
     check()  # mixed depths: the scan
 
 
-@settings(max_examples=100, deadline=None)
-@given(leaf=names, bits=st.sampled_from([0, 1, 2]))
-def test_client_fragtree_route_matches_authority(leaf, bits):
+@settings(max_examples=150, deadline=None)
+@given(leaf=names, shape=st.sampled_from(["unsplit", "even1", "even2",
+                                          "mixed"]))
+def test_client_fragtree_route_matches_authority(leaf, shape):
+    """Unsplit and evenly split fragtrees route through the record's
+    masked table, mixed depths through its scan."""
     _cluster, parent = shared_dir_cluster()
-    if bits:
-        parent.fragment(extra_bits=bits)
-        spread(parent)
+    if shape == "mixed":
+        first = parent.fragment(extra_bits=1)[0]
+        parent.fragment(first, extra_bits=1)
+    elif shape != "unsplit":
+        parent.fragment(extra_bits=int(shape[-1]))
+    spread(parent)
+    route = parent.frag_route()
+    assert (route.ranks is None) == (shape == "mixed")
     # Each rank's receive_request is its rank number, so the handler the
     # request is delivered to names the rank the client routed to.
     network = CaptureNetwork()
     ranks = [SimpleNamespace(receive_request=rank) for rank in range(2)]
     client = Client(SimEngine(), 0, network, ranks, None, iter([]))
-    client.frag_maps["/d"] = parent.frag_map()
+    client.frag_maps["/d"] = route
     client._issue(OpKind.CREATE, f"/d/{leaf}")
     (req,) = network.sent
     assert network.handlers == [parent.frag_for_name(leaf).authority()]
     # The client hashes only against a split fragtree, and carries the
     # leaf's hash.
-    assert req.leaf_hash == (name_hash(leaf) if bits else None)
+    assert req.leaf_hash == (None if shape == "unsplit" else name_hash(leaf))

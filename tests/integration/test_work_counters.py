@@ -50,10 +50,10 @@ INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 #: Calls per op into ``repro`` for each golden scenario shape: the count
 #: recorded when the ceiling was set, plus 2%.
 CALLS_PER_OP_CEILING = {
-    "create_shared": 38.65 * 1.02,
-    "zipf_read": 36.34 * 1.02,
-    "compile": 49.71 * 1.02,
-    "scale20": 169.79 * 1.02,
+    "create_shared": 38.64 * 1.02,
+    "zipf_read": 36.33 * 1.02,
+    "compile": 49.57 * 1.02,
+    "scale20": 169.68 * 1.02,
 }
 #: Calls per op into ``repro/sim/``, the same way.
 SIM_CALLS_PER_OP_CEILING = {

@@ -2,10 +2,12 @@
 invalidation / remote prefix traversals, client cap switching."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clients.client import Client
 from repro.clients.ops import OpKind
 from repro.cluster import SimulatedCluster
+from repro.namespace.directory import FragRoute
 from tests.conftest import make_config, parsed_request, send_request
 
 
@@ -128,6 +130,43 @@ class TestReplicaInvalidation:
         assert reply.ok
         assert d.inode.ino not in mds1.cache
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drops_what_the_all_peer_loop_drops(self, data):
+        """The prebuilt peer list pops exactly the entries the loop over
+        every peer (skipping itself, reading a missing activity entry as
+        -inf) pops, for random activity times and cache contents."""
+        cluster = SimulatedCluster(
+            make_config(num_mds=4, parent_inval_prob=1.0))
+        deep = cluster.namespace.mkdirs("/a/b/c")
+        nodes = [deep, deep.parent, deep.parent.parent]
+        window = cluster.config.coherency_window
+        now = cluster.engine.now = data.draw(st.floats(0.0, 10.0))
+        times = st.none() | st.floats(now - 3 * window, now)
+        for node in nodes:
+            for rank in range(4):
+                last = data.draw(times)
+                if last is not None:
+                    node.server_activity[rank] = last
+        for mds in cluster.mdss:
+            for node in nodes:
+                if data.draw(st.booleans()):
+                    mds.cache.insert(node.inode.ino)
+        writer = cluster.mdss[data.draw(st.integers(0, 3))]
+        expected = {mds.rank: set(mds.cache._entries)
+                    for mds in cluster.mdss}
+        for node in nodes[:cluster.config.parent_inval_levels]:
+            for peer in writer.peers:
+                if peer.rank == writer.rank:
+                    continue
+                if now - node.server_activity.get(
+                        peer.rank, -float("inf")) < window:
+                    continue
+                expected[peer.rank].discard(node.inode.ino)
+        writer._invalidate_replicas(deep)
+        assert {mds.rank: set(mds.cache._entries)
+                for mds in cluster.mdss} == expected
+
     def test_single_rank_cluster_no_op(self):
         cluster = SimulatedCluster(
             make_config(num_mds=1, parent_inval_prob=1.0))
@@ -170,7 +209,7 @@ class TestClientCapSwitching:
         cluster, _d = build(num_mds=2)
         client = self.make_client(cluster)
         # Client knows /d is spread over two ranks.
-        client.frag_maps["/d"] = ((1, 0, 0), (1, 1, 1))
+        client.frag_maps["/d"] = FragRoute(((1, 0, 0), (1, 1, 1)))
         client._cap_switch_delay(parsed_request(OpKind.STAT, "/d/f0"), 0)
         assert client._cap_switch_delay(
             parsed_request(OpKind.STAT, "/d/f1"), 1) == 0.0

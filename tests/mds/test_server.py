@@ -78,7 +78,7 @@ class TestServing:
         cluster.namespace.mkdirs("/d")
         reply = issue(cluster, OpKind.CREATE, "/d/f")
         assert reply.dir_path == "/d"
-        assert reply.frag_map == ((0, 0, 0),)
+        assert reply.frag_map.frags == ((0, 0, 0),)
 
     def test_counters_bumped(self):
         cluster = SimulatedCluster(make_config(num_mds=1))

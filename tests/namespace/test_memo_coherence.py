@@ -1,7 +1,8 @@
 """Namespace memos agree with from-scratch walks after every mutation.
 
-Directories memoize their path, resolved authority, frag map, effective
-spread and name -> frag lookup; the namespace memoizes path resolution.
+Directories memoize their path, resolved authority, route record (frag
+map, masked rank table, shared flag), effective spread and name -> frag
+lookup; the namespace memoizes path resolution.
 The memos key on the tree epoch and the global authority epoch, so every
 mutation has to bump the right one.  ``fragment()`` in particular relies
 on each new child frag's ``set_auth`` bumping the authority epoch to drop
@@ -115,6 +116,23 @@ def ref_load(directory, now: float) -> dict[str, float]:
     return total
 
 
+def check_route(directory) -> None:
+    """The route record replies carry equals the fragtree, the masked
+    ``value -> rank`` table and the rank set rebuilt from scratch."""
+    frags = tuple(
+        (frag.frag_id.bits, frag.frag_id.value, ref_frag_authority(frag))
+        for frag in directory.frags.values())
+    route = directory.frag_route()
+    assert route.frags == frags
+    depths = {bits for bits, _value, _rank in frags}
+    if len(depths) == 1:
+        assert route.mask == (1 << depths.pop()) - 1
+        assert route.ranks == {value: rank for _bits, value, rank in frags}
+    else:
+        assert route.ranks is None
+    assert route.shared == (len({rank for *_key, rank in frags}) > 1)
+
+
 def check_views(namespace, gone: set[str], now: float = 0.0) -> None:
     loads: dict[int, dict[str, float]] = {}
     for directory in live_dirs(namespace):
@@ -127,9 +145,7 @@ def check_views(namespace, gone: set[str], now: float = 0.0) -> None:
         assert namespace.resolve_dir(path) is directory
         assert directory.path() == path
         assert directory.authority() == ref_authority(directory)
-        assert directory.frag_map() == tuple(
-            (frag.frag_id.bits, frag.frag_id.value, ref_frag_authority(frag))
-            for frag in directory.frags.values())
+        check_route(directory)
         assert directory.effective_spread() == ref_spread(directory)
         names = PROBES + tuple(inode.name for inode in directory.readdir())
         for name in names:

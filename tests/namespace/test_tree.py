@@ -168,12 +168,12 @@ class TestAuthority:
         x = namespace.mkdirs("/a/x")
         y = namespace.mkdirs("/a/x/y")
         assert (x.authority(), y.authority()) == (0, 0)
-        assert x.frag_map() == ((0, 0, 0),)
+        assert x.frag_route().frags == ((0, 0, 0),)
         assert namespace.authority_for_path("/a/x/y") == 0
         namespace.rename("/a/x", "/b/x")
         assert (x.authority(), y.authority()) == (1, 1)
         assert namespace.authority_for_path("/b/x/y") == 1
-        assert x.frag_map() == ((0, 0, 1),)
+        assert x.frag_route().frags == ((0, 0, 1),)
         assert x.effective_spread() == 1.0
 
     def test_metadata_load_sums_owned_frags(self):

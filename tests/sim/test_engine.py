@@ -68,6 +68,46 @@ class TestScheduling:
         engine.run()
         assert engine.events_executed == 5
 
+    def test_events_counted_when_a_callback_raises(self):
+        """run_until_complete counts events in a local; a callback that
+        raises mid-run still leaves the count at the events that ran,
+        the raising one included."""
+        engine = SimEngine()
+        for _ in range(3):
+            engine.schedule(1.0, lambda: None)
+        engine.run()
+
+        def boom():
+            raise KeyError("boom")
+
+        for delay in (1.0, 2.0):
+            engine.schedule(delay, lambda: None)
+        engine.schedule(3.0, boom)
+        engine.schedule(4.0, lambda: None)
+        with pytest.raises(KeyError):
+            engine.run_until_complete(engine.completion())
+        assert engine.events_executed == 6
+        assert engine.pending == 1
+
+    @pytest.mark.parametrize("limit", [1, 5])
+    def test_max_events_fires_at_exactly_n_events(self, limit):
+        engine = SimEngine()
+        engine.schedule(0.0, lambda: None)
+        engine.run()
+        fired = []
+        for index in range(10):
+            engine.schedule(1.0, fired.append, index)
+        with pytest.raises(RuntimeError, match="livelock"):
+            engine.run_until_complete(engine.completion(), max_events=limit)
+        assert len(fired) == limit
+        assert engine.events_executed == 1 + limit
+
+    def test_max_events_not_reached(self):
+        engine = SimEngine()
+        done = engine.timeout(2.0, "ok")
+        assert engine.run_until_complete(done, max_events=2) == "ok"
+        assert engine.events_executed == 1
+
 
 class TestPeriodic:
     def test_every_repeats_until_stopped(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import SimEngine
-from repro.sim.network import Network
+from repro.sim.network import _JITTER_BATCH, Network
 
 
 def make_network(engine, base=0.001, jitter=0.0):
@@ -45,7 +45,10 @@ class TestDelivery:
 
     def test_batched_jitter_replays_scalar_draws(self):
         """one_way, deliver and deliver_after share one batched lognormal
-        stream that replays scalar draws from the same seed exactly."""
+        stream that replays scalar draws from the same seed exactly, across
+        batch boundaries (draws 1024 and 2048 fall on deliver and
+        deliver_after)."""
+        assert 2 * _JITTER_BATCH < 3000
         engine = SimEngine()
         network = Network(engine, np.random.Generator(np.random.PCG64(123)))
         sigma2 = np.log(1.0 + 0.2 ** 2)
@@ -69,6 +72,17 @@ class TestDelivery:
         engine = SimEngine()
         network = make_network(engine, jitter=0.0)
         assert network.one_way() == network.one_way() == 0.001
+
+    def test_zero_jitter_draws_nothing(self):
+        engine = SimEngine()
+        network = make_network(engine, jitter=0.0)
+        state = network.rng.bit_generator.state
+        times = []
+        network.deliver(lambda: times.append(engine.now))
+        network.deliver_after(0.5, lambda: times.append(engine.now))
+        engine.run()
+        assert times == [0.001, 0.501]
+        assert network.rng.bit_generator.state == state
 
     def test_request_response_roundtrip(self):
         engine = SimEngine()
